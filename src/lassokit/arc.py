@@ -87,10 +87,6 @@ class ProjectionArc:
         return p
 
 
-def lambda_of_alpha(arc: ProjectionArc, alpha: float) -> float:
-    return arc.lambda_of(alpha)
-
-
 def support_addition_filter(
     I: set[int], J: set[int], r: NDArray, w: NDArray
 ) -> set[int]:

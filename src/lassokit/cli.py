@@ -9,7 +9,6 @@ CSV for bench, and plain PASS/FAIL lines for arc-audit.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -28,7 +27,7 @@ from .probgen import (
     gen_instance,
     make_rng,
 )
-from .rootfind import STATUS_CONVERGED, solve_bpdn
+from .rootfind import STATUS_BUDGET, STATUS_CONVERGED, solve_bpdn
 from .solver import (
     STATUS_ITER_LIMIT,
     STATUS_LINESEARCH_FAILURE,
@@ -46,7 +45,7 @@ _STATUS_EXIT = {
     STATUS_OPTIMAL: EXIT_OK,
     STATUS_CONVERGED: EXIT_OK,
     STATUS_ITER_LIMIT: EXIT_BUDGET,
-    "subproblem_budget": EXIT_BUDGET,
+    STATUS_BUDGET: EXIT_BUDGET,
     STATUS_LINESEARCH_FAILURE: EXIT_LINESEARCH,
 }
 
@@ -223,12 +222,7 @@ def cmd_bench(args) -> int:
                 for tol in tols:
                     for i in range(instances):
                         tasks.append((spec_kw, args.seed + i, solver, tol))
-    workers = max(int(os.environ.get("LASSOKIT_THREADS", "1")), 1)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_bench_one, tasks))
-    else:
-        results = [_bench_one(t) for t in tasks]
+    results = [_bench_one(t) for t in tasks]
 
     spg_times = {
         (r["k"], r["dist"], r["tol"], r["seed"]): r["time"]

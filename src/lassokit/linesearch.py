@@ -12,7 +12,14 @@ from numpy.typing import NDArray
 
 from .arc import ProjectionArc
 from .ball import project
-from .model import Iterate, LassoProblem, RayObjective, SolverOptions, evaluate
+from .model import (
+    Iterate,
+    LassoProblem,
+    RayObjective,
+    SolverOptions,
+    evaluate,
+    objective_value,
+)
 
 # Incremental matrix-column products are rebuilt from scratch this often.
 RECOMPUTE_EVERY = 50
@@ -109,19 +116,11 @@ def nonmonotone_armijo_backtrack(
         step_norm = float(np.linalg.norm(dx))
         if step_norm <= 1e-15 * (1.0 + float(np.linalg.norm(x))):
             return SearchResult("stationary", iterate, 0.0, k + 1)
-        fa, ra = _objective(problem, xa)
+        fa, ra = objective_value(problem, xa)
         if fa <= fmax + options.suff_decrease * float(g @ dx):
             return SearchResult("accepted", evaluate(problem, xa, r=ra), a, k + 1)
         a *= options.backtrack_factor
     return SearchResult("failed", None, 0.0, options.max_backtracks)
-
-
-def _objective(problem: LassoProblem, x: NDArray) -> tuple[float, NDArray]:
-    r = problem.op.apply(x) - problem.b
-    f = 0.5 * float(r @ r) + float(problem.c @ x)
-    if problem.mu > 0:
-        f += 0.5 * problem.mu * float(x @ x)
-    return f, r
 
 
 def face_wolfe_search(
@@ -298,7 +297,7 @@ def trajectory_search(
     dx = xa - iterate.x
     if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
         return SearchResult("stationary", iterate, 0.0, 1)
-    fa, ra = _objective(problem, xa)
+    fa, ra = objective_value(problem, xa)
     if fa <= history.maximum() + options.suff_decrease * float(iterate.g @ dx):
         return SearchResult("accepted", evaluate(problem, xa, r=ra), alpha, 1)
     return SearchResult("failed")

@@ -126,9 +126,11 @@ class Iterate:
     face: FaceId | None
 
 
-def objective_value(problem: LassoProblem, x: NDArray) -> tuple[float, NDArray]:
-    """Objective and residual at x; one forward product."""
-    r = problem.op.apply(x) - problem.b
+def objective_value(problem: LassoProblem, x: NDArray,
+                    r: NDArray | None = None) -> tuple[float, NDArray]:
+    """Objective and residual at x; one forward product unless r = Ax - b is given."""
+    if r is None:
+        r = problem.op.apply(x) - problem.b
     f = 0.5 * float(r @ r) + float(problem.c @ x)
     if problem.mu > 0:
         f += 0.5 * problem.mu * float(x @ x)
@@ -138,12 +140,7 @@ def objective_value(problem: LassoProblem, x: NDArray) -> tuple[float, NDArray]:
 def evaluate(problem: LassoProblem, x: NDArray, r: NDArray | None = None) -> Iterate:
     """Full iterate at x: residual, gradient A'r + mu*x + c, value, face."""
     x = np.asarray(x, dtype=float)
-    if r is None:
-        f, r = objective_value(problem, x)
-    else:
-        f = 0.5 * float(r @ r) + float(problem.c @ x)
-        if problem.mu > 0:
-            f += 0.5 * problem.mu * float(x @ x)
+    f, r = objective_value(problem, x, r)
     g = problem.op.apply_adjoint(r) + problem.c
     if problem.mu > 0:
         g = g + problem.mu * x
@@ -156,24 +153,17 @@ class RayObjective:
 
     def __init__(self, problem: LassoProblem, x: NDArray, d: NDArray,
                  r: NDArray | None = None):
-        if r is None:
-            r = problem.op.apply(x) - problem.b
+        self.c0, r = objective_value(problem, x, r)
         ad = problem.op.apply(d)
         mu = problem.mu
         self.c2 = 0.5 * (float(ad @ ad) + mu * float(d @ d))
         self.c1 = float(r @ ad) + mu * float(x @ d) + float(problem.c @ d)
-        self.c0 = 0.5 * float(r @ r) + 0.5 * mu * float(x @ x) + float(problem.c @ x)
 
     def __call__(self, alpha: float) -> float:
         return self.c0 + alpha * (self.c1 + alpha * self.c2)
 
     def derivative(self, alpha: float) -> float:
         return self.c1 + 2.0 * alpha * self.c2
-
-
-def objective_along_ray(problem: LassoProblem, x: NDArray, d: NDArray,
-                        alpha: float) -> float:
-    return RayObjective(problem, x, d)(alpha)
 
 
 @dataclass

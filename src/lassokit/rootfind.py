@@ -70,6 +70,8 @@ def solve_bpdn(
     start = time.perf_counter()
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    if solver not in ("spg", "hybrid"):
+        raise ValueError(f"unknown solver {solver!r}")
     options = options or SolverOptions()
     solve = hybrid_solve if solver == "hybrid" else spg_solve
     b = problem.b

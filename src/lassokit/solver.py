@@ -95,14 +95,6 @@ class LbfgsModel:
         return -q
 
 
-def lbfgs_update(model: LbfgsModel, s: NDArray, y: NDArray) -> bool:
-    return model.update(s, y)
-
-
-def lbfgs_direction(model: LbfgsModel, g: NDArray) -> NDArray:
-    return model.direction(g)
-
-
 def _initial_bb(g: NDArray, options: SolverOptions) -> float:
     gmax = float(np.max(np.abs(g))) if len(g) else 0.0
     if gmax <= 0:

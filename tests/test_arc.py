@@ -7,7 +7,6 @@ from lassokit.arc import (
     enumerate_arc,
     enumerate_line,
     extremal_construction,
-    lambda_of_alpha,
     support_addition_filter,
 )
 from lassokit.ball import project, weighted_l1_norm
@@ -67,7 +66,7 @@ def test_segments_match_direct_projection():
                 alpha = seg.alpha_lo + t * (hi - seg.alpha_lo)
                 ref, lam_ref = bisect_project(s + alpha * d, w, tau)
                 assert np.allclose(arc.point_at(alpha), ref, atol=1e-8)
-                assert lambda_of_alpha(arc, alpha) == pytest.approx(
+                assert arc.lambda_of(alpha) == pytest.approx(
                     lam_ref, abs=1e-8
                 )
 

@@ -45,18 +45,39 @@ def test_mu_zero_gap_at_origin():
     assert cert.gap(it.f) == pytest.approx(expect, rel=1e-12)
 
 
+def _explicit_certificates(p, x):
+    """Certificates rebuilt from z = A'(b - Ax) - c, not from the gradient."""
+    a, b, w, tau, mu = p.op.a, p.b, p.w, p.tau, p.mu
+    y = b - a @ x
+    z = a.T @ y - p.c
+    base = float(y @ b) - 0.5 * float(y @ y)
+    if mu == 0:
+        lam = float(np.max(np.abs(z) / w))
+        return [(lam, base - tau * lam)]
+    lam_aug = float(np.max(np.abs(z - mu * x) / w))
+    aug = base - tau * lam_aug - 0.5 * mu * float(x @ x)
+    lam_opt = optimal_dual_lambda(np.abs(z), w, tau, mu)
+    slack = np.maximum(np.abs(z) - lam_opt * w, 0.0)
+    opt = base - tau * lam_opt - float(slack @ slack) / (2.0 * mu)
+    return [(lam_aug, aug), (lam_opt, opt)]
+
+
 def test_weak_duality_all_formulations():
     rng = np.random.default_rng(1)
+    crng = np.random.default_rng(11)
     for _ in range(50):
         mu = float(rng.choice([0.0, 0.05, 0.5]))
         p = _problem(rng, mu=mu, tau=float(rng.uniform(0.2, 2.0)),
                      weighted=True)
+        p.c = crng.normal(size=p.shape[1])
         it = _feasible(rng, p)
         certs = [certificate_mu_zero(p, it)] if mu == 0 else [
             certificate_augmented(p, it), certificate_optimized(p, it)
         ]
-        for cert in certs:
+        for cert, (lam, obj) in zip(certs, _explicit_certificates(p, it.x)):
             assert cert.objective <= it.f + 1e-10 * (1 + abs(it.f))
+            assert cert.lam == pytest.approx(lam, rel=1e-12)
+            assert cert.objective == pytest.approx(obj, rel=1e-12)
 
 
 def test_gap_small_at_oracle_optimum():

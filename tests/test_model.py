@@ -9,7 +9,6 @@ from lassokit.model import (
     RayObjective,
     SolverOptions,
     evaluate,
-    objective_along_ray,
     objective_value,
 )
 
@@ -66,6 +65,7 @@ def test_objective_and_gradient_finite_differences():
         f, r = objective_value(p, x)
         assert it.f == pytest.approx(f)
         assert np.allclose(it.r, r)
+        assert objective_value(p, x, r)[0] == f
         h = 1e-5
         for i in range(4):
             e = np.zeros(4)
@@ -87,10 +87,12 @@ def test_ray_objective_matches_direct():
     x = rng.normal(size=4) * 0.1
     d = rng.normal(size=4)
     ray = RayObjective(p, x, d)
+    ray_r = RayObjective(p, x, d, r=evaluate(p, x).r)
+    assert ray.c0 == objective_value(p, x)[0]
     for alpha in (-0.5, 0.0, 0.3, 1.7):
         direct = objective_value(p, x + alpha * d)[0]
         assert ray(alpha) == pytest.approx(direct, abs=1e-10)
-        assert objective_along_ray(p, x, d, alpha) == pytest.approx(direct)
+        assert ray_r(alpha) == pytest.approx(direct, abs=1e-10)
         h = 1e-6
         fd = (ray(alpha + h) - ray(alpha - h)) / (2 * h)
         assert ray.derivative(alpha) == pytest.approx(fd, abs=1e-6)

@@ -43,6 +43,12 @@ def test_negative_sigma_raises():
         solve_bpdn(p, sigma=-1.0)
 
 
+def test_unknown_solver_raises():
+    p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.ones(2), tau=0.0)
+    with pytest.raises(ValueError, match="unknown solver"):
+        solve_bpdn(p, sigma=0.5, solver="hybird")
+
+
 def test_linear_curve_one_newton_step():
     # b parallel to the single column: the misfit is affine in tau, so the
     # first Newton step lands exactly on the root.

@@ -3,14 +3,13 @@ import pytest
 
 from conftest import dense_bfgs_matrix, qp_oracle
 from lassokit.ball import weighted_l1_norm
-from lassokit.model import DenseOperator, LassoProblem, SolverOptions
+from lassokit.duality import StoppingOracle
+from lassokit.model import DenseOperator, LassoProblem, LinearOperator, SolverOptions, evaluate
 from lassokit.solver import (
     STATUS_ITER_LIMIT,
     STATUS_OPTIMAL,
     LbfgsModel,
     hybrid_solve,
-    lbfgs_direction,
-    lbfgs_update,
     spg_solve,
 )
 
@@ -102,6 +101,33 @@ def test_solution_feasible_and_solvers_agree():
         assert rh.qn_steps > 0
 
 
+def test_one_adjoint_product_per_iteration():
+    # The gap check reads A'(b - Ax) off the iterate's gradient, so the
+    # only adjoint products are those of the evaluations.
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(32, 64))
+    a /= np.linalg.norm(a, axis=0)
+    x0 = np.zeros(64)
+    x0[rng.choice(64, 6, replace=False)] = rng.choice([-1.0, 1.0], 6)
+    adjoints = [0]
+
+    def adjoint(y):
+        adjoints[0] += 1
+        return a.T @ y
+
+    op = LinearOperator(a.shape, lambda x: a @ x, adjoint)
+    p = LassoProblem(op=op, b=a @ x0, tau=0.99 * float(np.sum(np.abs(x0))))
+    report = spg_solve(p)
+    assert report.status == STATUS_OPTIMAL
+    assert report.iterations > 0
+    assert adjoints[0] == report.iterations + 1
+
+    it = evaluate(p, report.x)
+    before = adjoints[0]
+    StoppingOracle(p, 1e-6).update(it)
+    assert adjoints[0] == before
+
+
 def test_trajectory_mode_solves():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(32, 64))
@@ -144,15 +170,15 @@ def test_lbfgs_secant_single_pair():
     y = s + 0.2 * rng.normal(size=5)
     if float(s @ y) <= 0:
         y = s
-    assert lbfgs_update(model, s, y)
+    assert model.update(s, y)
     # H y = s holds exactly after a single update.
-    assert np.allclose(-lbfgs_direction(model, y), s, atol=1e-12)
+    assert np.allclose(-model.direction(y), s, atol=1e-12)
 
 
 def test_lbfgs_rejects_nonpositive_curvature():
     model = LbfgsModel(memory=4, h0=1.0)
     s = np.array([1.0, 0.0])
-    assert not lbfgs_update(model, s, -s)
+    assert not model.update(s, -s)
     assert len(model.pairs) == 0
 
 
