@@ -6,12 +6,15 @@ sign flips of coordinates, crossings of the ball boundary, and support
 changes of the projection -- maintaining the norm kappa(alpha), its slope
 rho, the threshold lambda(alpha), and its slope in O(1) amortized updates
 per event.  A full line admits at most 4n - 2 support/boundary events.
+Segments are produced on demand, so a search that stops early never walks
+the rest of the ray.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,18 +50,65 @@ class ArcSegment:
     slope: float  # d lambda / d alpha
 
 
-@dataclass
 class ProjectionArc:
-    s: NDArray
-    d: NDArray
-    w: NDArray
-    tau: float
-    segments: list[ArcSegment]
-    events: list[ArcEvent]
-    _los: list[float] = field(init=False)
+    """Segments and events of alpha -> P(s + alpha*d), produced on demand.
 
-    def __post_init__(self):
-        self._los = [seg.alpha_lo for seg in self.segments]
+    `iter_segments` yields segments as the walk reaches them, so a caller
+    that stops early never pays for the rest of the arc.  `segments`,
+    `events` and `breakpoint_count` finish the walk; `segment_at`,
+    `point_at` and `lambda_of` walk only until every segment starting at or
+    before alpha exists.
+    """
+
+    def __init__(self, s: NDArray, d: NDArray, w: NDArray, tau: float,
+                 walk: Iterator[ArcSegment], events: list[ArcEvent]):
+        self.s, self.d, self.w, self.tau = s, d, w, tau
+        self._walk: Iterator[ArcSegment] | None = walk
+        self._events = events  # appended by the walk
+        self._segments: list[ArcSegment] = []
+        self._los: list[float] = []
+        self._error: ArcEnumerationError | None = None
+
+    def _advance(self) -> bool:
+        """Produce the next segment; False once the walk has ended."""
+        if self._error is not None:
+            raise self._error
+        if self._walk is None:
+            return False
+        try:
+            seg = next(self._walk)
+        except StopIteration:
+            self._walk = None
+            return False
+        except ArcEnumerationError as exc:
+            # The generator is closed now; keep failing rather than
+            # passing off the partial arc as the whole one.
+            self._error = exc
+            raise
+        self._segments.append(seg)
+        self._los.append(seg.alpha_lo)
+        return True
+
+    def iter_segments(self) -> Iterator[ArcSegment]:
+        """Segments in order of alpha, walking the arc only as they are read."""
+        k = 0
+        while k < len(self._segments) or self._advance():
+            yield self._segments[k]
+            k += 1
+
+    def _finish(self) -> None:
+        while self._advance():
+            pass
+
+    @property
+    def segments(self) -> list[ArcSegment]:
+        self._finish()
+        return self._segments
+
+    @property
+    def events(self) -> list[ArcEvent]:
+        self._finish()
+        return self._events
 
     @property
     def breakpoint_count(self) -> int:
@@ -68,8 +118,13 @@ class ProjectionArc:
     def segment_at(self, alpha: float) -> ArcSegment:
         if alpha < 0:
             raise ValueError(f"alpha {alpha} precedes the ray origin")
+        # Segments are contiguous, so none still to come starts at or
+        # before alpha once the last one ends beyond it.
+        while not self._segments or self._segments[-1].alpha_hi <= alpha:
+            if not self._advance():
+                break
         k = bisect.bisect_right(self._los, alpha) - 1
-        return self.segments[max(k, 0)]
+        return self._segments[max(k, 0)]
 
     def lambda_of(self, alpha: float) -> float:
         seg = self.segment_at(alpha)
@@ -109,8 +164,35 @@ def support_addition_filter(
     return out
 
 
+def _earliest(idx: NDArray, delta: NDArray) -> tuple[float, list[int]]:
+    """Earliest event offset among candidates and the indices tied with it.
+
+    The tie rule is sequential: in the given order, an offset below
+    best - _TIE starts a new group, one within best + _TIE joins it.  Only
+    the cluster at the minimum is scanned: above the first gap of more than
+    4*_TIE*(1 + |delta|) in the sorted offsets, an entry can neither start
+    nor join a group once the cluster has been reached, and any group it
+    started before that is replaced by the cluster's first entry.
+    """
+    best, out = np.inf, []
+    if len(delta) == 0:
+        return best, out
+    srt = np.sort(delta)
+    gaps = np.diff(srt) > 4.0 * _TIE * (1.0 + np.abs(srt[:-1]))
+    near = delta <= (srt[np.argmax(gaps)] if gaps.any() else np.inf)
+    for i, dl in zip(idx[near].tolist(), delta[near].tolist()):
+        if dl < best - _TIE:
+            best, out = dl, [i]
+        elif dl <= best + _TIE:
+            out.append(i)
+    return best, out
+
+
 def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionArc:
-    """Enumerate segments and events of alpha -> P(s + alpha*d) for alpha >= 0."""
+    """Segments and events of alpha -> P(s + alpha*d) for alpha >= 0.
+
+    The inputs are checked here; the arc itself is walked on demand.
+    """
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -121,9 +203,14 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
         raise ValueError("weights must be strictly positive")
     if tau <= 0:
         raise ValueError("radius must be positive")
-
-    segments: list[ArcSegment] = []
     events: list[ArcEvent] = []
+    return ProjectionArc(s, d, w, tau, _walk(s, d, w, tau, events), events)
+
+
+def _walk(s: NDArray, d: NDArray, w: NDArray, tau: float,
+          events: list[ArcEvent]) -> Iterator[ArcSegment]:
+    """Yield the arc's segments in order, appending each event to `events`."""
+    n = len(s)
 
     def seg_support(alpha_lo: float, alpha_hi: float, inside: bool,
                     I: set[int] | None, signs: dict[int, float] | None,
@@ -135,16 +222,17 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
             sup = np.nonzero(x)[0]
             return ArcSegment(alpha_lo, alpha_hi, True, sup, np.sign(x[sup]),
                               0.0, 0.0)
-        sup = np.array(sorted(I), dtype=int)
-        sg = np.array([signs[i] for i in sup], dtype=float)
+        order = sorted(I)
+        sup = np.array(order, dtype=int)
+        sg = np.array([signs[i] for i in order], dtype=float)
         return ArcSegment(alpha_lo, alpha_hi, False, sup, sg, lam0, slope)
 
     if not np.any(d != 0):
         p, lam0 = project(s, w, tau)
         sup = np.nonzero(p)[0]
-        segments.append(ArcSegment(0.0, np.inf, lam0 == 0.0, sup,
-                                   np.sign(p[sup]), lam0, 0.0))
-        return ProjectionArc(s, d, w, tau, segments, events)
+        yield ArcSegment(0.0, np.inf, lam0 == 0.0, sup, np.sign(p[sup]), lam0,
+                         0.0)
+        return
 
     # Sign-flip schedule, fixed for the whole ray.
     r = np.where(s * d < 0, -np.abs(d), np.abs(d)).astype(float)
@@ -166,8 +254,11 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
     def recompute_slope() -> float:
         if not I:
             return 0.0
-        a = sum(w[i] * r[i] for i in I)
-        b = sum(w2[i] for i in I)
+        # Running sums in the set's order: the same additions, in the same
+        # order, as a Python loop over I.
+        sup = np.fromiter(I, dtype=np.intp, count=len(I))
+        a = np.cumsum(w[sup] * r[sup])[-1]
+        b = np.cumsum(w2[sup])[-1]
         return float(a / b)
 
     if not inside:
@@ -219,10 +310,10 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
                               "boundary_cross"))
             a_next, kind = min(cands, key=lambda t: t[0])
             if not np.isfinite(a_next):
-                segments.append(seg_support(alpha, np.inf, True, None, None, 0.0, 0.0))
-                break
+                yield seg_support(alpha, np.inf, True, None, None, 0.0, 0.0)
+                return
             if a_next > alpha:
-                segments.append(seg_support(alpha, a_next, True, None, None, 0.0, 0.0))
+                yield seg_support(alpha, a_next, True, None, None, 0.0, 0.0)
             step = a_next - alpha
             kappa += step * rho
             alpha = a_next
@@ -250,28 +341,20 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
         cands = []
         if np.isfinite(next_cross):
             cands.append((next_cross, "zero_cross", (crossings[ci][1],)))
-        rm_best, rm_idx = np.inf, []
-        for i in I:
-            den = w[i] * slope - r[i]
-            if den > _TIE:
-                delta = max((abs(x_now[i]) - w[i] * lam) / den, 0.0)
-                if delta < rm_best - _TIE:
-                    rm_best, rm_idx = delta, [i]
-                elif delta <= rm_best + _TIE:
-                    rm_idx.append(i)
+        sup = np.fromiter(I, dtype=np.intp, count=len(I))  # the set's order
+        den = w[sup] * slope - r[sup]
+        keep = den > _TIE
+        rm = sup[keep]
+        rm_best, rm_idx = _earliest(rm, np.maximum(
+            (np.abs(x_now[rm]) - w[rm] * lam) / den[keep], 0.0))
         if rm_idx:
             cands.append((alpha + rm_best, "support_remove", tuple(sorted(rm_idx))))
-        ad_best, ad_idx = np.inf, []
-        for j in range(n):
-            if j in I:
-                continue
-            den = r[j] - w[j] * slope
-            if den > _TIE:
-                delta = max((w[j] * lam - abs(x_now[j])) / den, 0.0)
-                if delta < ad_best - _TIE:
-                    ad_best, ad_idx = delta, [j]
-                elif delta <= ad_best + _TIE:
-                    ad_idx.append(j)
+        den = r - w * slope
+        grow = den > _TIE
+        grow[sup] = False
+        ad = np.flatnonzero(grow)
+        ad_best, ad_idx = _earliest(ad, np.maximum(
+            (w[ad] * lam - np.abs(x_now[ad])) / den[ad], 0.0))
         if ad_idx:
             cands.append((alpha + ad_best, "support_add", tuple(sorted(ad_idx))))
         if rho < 0:
@@ -279,16 +362,16 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
                           "boundary_cross", ()))
 
         if not cands:
-            segments.append(seg_support(alpha, np.inf, False, I, signs, lam, slope))
-            break
+            yield seg_support(alpha, np.inf, False, I, signs, lam, slope)
+            return
         a_next = min(t[0] for t in cands)
         if not np.isfinite(a_next):
-            segments.append(seg_support(alpha, np.inf, False, I, signs, lam, slope))
-            break
+            yield seg_support(alpha, np.inf, False, I, signs, lam, slope)
+            return
         tol = _TIE * (1.0 + abs(a_next))
         hits = [t for t in cands if t[0] <= a_next + tol]
         if a_next > alpha:
-            segments.append(seg_support(alpha, a_next, False, I, signs, lam, slope))
+            yield seg_support(alpha, a_next, False, I, signs, lam, slope)
         step = a_next - alpha
         kappa += step * rho
         lam = max(lam + step * slope, 0.0)
@@ -344,8 +427,6 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
             I, signs, slope = set(), {}, 0.0
             events.append(ArcEvent(alpha, "boundary_cross", (), lam, kappa,
                                    rho, slope))
-
-    return ProjectionArc(s, d, w, tau, segments, events)
 
 
 def _norm_argmin(s: NDArray, d: NDArray, w: NDArray) -> float:

@@ -101,18 +101,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_root(args) -> int:
+    from .model import DenseOperator, LassoProblem
+
     try:
         _, data = lio.problem_from_manifest(args.manifest)
+        problem = LassoProblem(op=DenseOperator(data["A"]), b=data["b"],
+                               tau=0.0, w=data.get("w"), mu=data["mu"],
+                               c=data.get("c"))
     except (OSError, lio.ManifestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if "sigma" not in data:
         print("error: manifest fixes tau; use the solve command", file=sys.stderr)
         return EXIT_BAD_INPUT
-    from .model import DenseOperator, LassoProblem
-
-    problem = LassoProblem(op=DenseOperator(data["A"]), b=data["b"], tau=0.0,
-                           w=data.get("w"), mu=data["mu"], c=data.get("c"))
     report = solve_bpdn(problem, data["sigma"],
                         options=_options_from_args(args), solver=args.solver)
     if args.out:

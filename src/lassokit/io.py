@@ -108,7 +108,7 @@ def read_manifest(path: str) -> dict:
                 out[key] = float(entries[key])
             except ValueError as exc:
                 raise ManifestError(f"{path}: {key} is not a number") from exc
-    if out.get("tau", 0.0) < 0 or out.get("sigma", 0.0) < 0 or out["mu"] < 0:
+    if not all(out.get(key, 0.0) >= 0 for key in ("tau", "sigma", "mu")):
         raise ManifestError(f"{path}: tau, sigma, and mu must be nonnegative")
     return out
 

@@ -179,13 +179,15 @@ class _ArcProducts:
         return self.problem.op.column(i)
 
     def set_support(self, support: NDArray, signs: NDArray) -> None:
-        new = {int(i): float(sg) for i, sg in zip(support, signs)}
+        new = dict(zip(support.tolist(), signs.tolist()))
         old = set(self.I)
         target = set(new)
         arc = self.arc
-        changed = len(old ^ target) + sum(
-            1 for i in old & target if self._signs.get(i) != new[i]
-        )
+        common = old & target
+        # Kept entries whose sign flipped: the items intersection holds the
+        # kept entries whose sign did not.
+        flips = len(common) - len(self._signs.items() & new.items())
+        changed = len(old ^ target) + flips
         self.updates += changed
         if self.updates >= RECOMPUTE_EVERY or changed > len(target):
             self._rebuild(new)
@@ -200,10 +202,11 @@ class _ArcProducts:
             self.us += col * arc.s[i]
             self.ud += col * arc.d[i]
             self.uv += col * new[i] * arc.w[i]
-        for i in old & target:
-            if self._signs[i] != new[i]:
-                col = self._col(i)
-                self.uv += col * (new[i] - self._signs[i]) * arc.w[i]
+        if flips:
+            for i in common:
+                if self._signs[i] != new[i]:
+                    col = self._col(i)
+                    self.uv += col * (new[i] - self._signs[i]) * arc.w[i]
         self.I = target
         self._signs = new
 
@@ -233,7 +236,8 @@ def trajectory_search(
 ) -> SearchResult:
     """Minimize the objective along the projection trajectory P(x - a*g_scaled).
 
-    Scans segments in order; `first_local` stops at the first interior
+    `arc` starts at `iterate.x`.  Scans segments in order, walking the arc
+    only as far as it reads; `first_local` stops at the first interior
     minimum, `global` keeps the best over all segments.  The winner must
     still pass the nonmonotone sufficient-decrease test against `history`;
     otherwise the caller falls back to plain backtracking.
@@ -242,12 +246,14 @@ def trajectory_search(
     b, c, mu = problem.b, problem.c, problem.mu
     best_alpha, best_f = None, np.inf
     chosen = None
-    for seg in arc.segments:
+    ad = None  # A*d, formed on the first inside segment
+    for seg in arc.iter_segments():
         lo, hi = seg.alpha_lo, seg.alpha_hi
         if seg.inside:
-            # p(a) = s + a*d with full vectors; use exact products.
-            P = problem.op.apply(arc.s) - b
-            D = problem.op.apply(arc.d)
+            # p(a) = s + a*d with full vectors, and A*s - b = iterate.r.
+            if ad is None:
+                ad = problem.op.apply(arc.d)
+            P, D = iterate.r, ad
             q, h = arc.s, arc.d
         else:
             prods.set_support(seg.support, seg.signs)

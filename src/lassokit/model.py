@@ -105,6 +105,11 @@ class LassoProblem:
             self.c = np.asarray(self.c, dtype=float)
             if len(self.c) != n:
                 raise DimensionMismatchError(f"c has length {len(self.c)}, expected {n}")
+        for name in ("b", "w", "c"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has a non-finite entry")
+        if np.isnan(self.tau) or np.isnan(self.mu):
+            raise ValueError("tau and mu must be numbers, not NaN")
         if self.tau < 0:
             raise ValueError("radius tau must be nonnegative")
         if self.mu < 0:

@@ -68,7 +68,7 @@ def solve_bpdn(
     radius with a warm start projected from the previous solution.
     """
     start = time.perf_counter()
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if solver not in ("spg", "hybrid"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -109,7 +109,7 @@ def solve_bpdn(
         x0, _ = project(x, sub.w, tau)
         report: SolverReport = solve(sub, x0, options)
         x = report.x
-        misfit = float(np.linalg.norm(b - problem.op.apply(x)))
+        misfit = float(np.linalg.norm(report.r))
         lam = report.lam
         path.append(ParetoState(tau, misfit, lam, report.status,
                                 report.iterations))

@@ -50,6 +50,7 @@ class TraceRecord:
 @dataclass
 class SolverReport:
     x: NDArray
+    r: NDArray  # residual A x - b at x
     f: float
     gap: float
     lam: float
@@ -115,9 +116,9 @@ def _pg_search(problem: LassoProblem, it: Iterate, alpha_bb: float,
 def _trivial_report(problem: LassoProblem, start: float) -> SolverReport:
     x = np.zeros(problem.shape[1])
     it = evaluate(problem, x)
-    return SolverReport(x=x, f=it.f, gap=0.0, lam=0.0, status=STATUS_OPTIMAL,
-                        iterations=0, qn_steps=0, pg_steps=0,
-                        time_sec=time.perf_counter() - start)
+    return SolverReport(x=x, r=it.r, f=it.f, gap=0.0, lam=0.0,
+                        status=STATUS_OPTIMAL, iterations=0, qn_steps=0,
+                        pg_steps=0, time_sec=time.perf_counter() - start)
 
 
 def spg_solve(
@@ -190,7 +191,7 @@ def _solve(
 
     if oracle.update(it):
         record(0, "init")
-        return SolverReport(x=it.x, f=it.f, gap=oracle.gap,
+        return SolverReport(x=it.x, r=it.r, f=it.f, gap=oracle.gap,
                             lam=oracle.lambda_best, status=STATUS_OPTIMAL,
                             iterations=0, qn_steps=0, pg_steps=0,
                             time_sec=time.perf_counter() - start, trace=trace)
@@ -257,9 +258,9 @@ def _solve(
             )
 
     return SolverReport(
-        x=it.x, f=it.f, gap=oracle.gap, lam=oracle.lambda_best, status=status,
-        iterations=iteration, qn_steps=qn_steps, pg_steps=pg_steps,
-        time_sec=time.perf_counter() - start, trace=trace,
+        x=it.x, r=it.r, f=it.f, gap=oracle.gap, lam=oracle.lambda_best,
+        status=status, iterations=iteration, qn_steps=qn_steps,
+        pg_steps=pg_steps, time_sec=time.perf_counter() - start, trace=trace,
     )
 
 

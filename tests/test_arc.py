@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import bisect_project, subset_filter_oracle
+from lassokit import arc as arc_module
 from lassokit.arc import (
+    _TIE,
+    ArcEnumerationError,
+    _earliest,
     count_breakpoints_two_sided,
     enumerate_arc,
     enumerate_line,
@@ -196,3 +200,142 @@ def test_points_stay_feasible():
         for alpha in np.linspace(0.0, arc.events[-1].alpha + 1.0, 15) if arc.events else [0.0, 1.0]:
             p = arc.point_at(float(alpha))
             assert weighted_l1_norm(p, w) <= tau * (1.0 + 1e-8)
+
+
+def _lazy_cases():
+    """(s, d, w, tau) for seeded Gaussian rays and both sides of the
+    extremal lines for n <= 8."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        yield _random_arc(rng, int(rng.integers(2, 12)))
+    for n in range(1, 9):
+        s, d, w, tau = extremal_construction(n)
+        fwd, bwd, _ = enumerate_line(s, d, w, tau)
+        for side in (fwd, bwd):
+            yield side.s, side.d, w, tau
+
+
+def _fields(seg):
+    return (seg.alpha_lo, seg.alpha_hi, seg.inside, seg.support.tolist(),
+            seg.signs.tolist(), seg.lam0, seg.slope)
+
+
+def test_lazy_walk_matches_materialized_arc():
+    for s, d, w, tau in _lazy_cases():
+        full = enumerate_arc(s, d, w, tau)
+        full_segments = [_fields(seg) for seg in full.segments]
+        lazy = enumerate_arc(s, d, w, tau)
+        assert [_fields(seg) for seg in lazy.iter_segments()] == full_segments
+        assert lazy.events == full.events
+        assert lazy.breakpoint_count == full.breakpoint_count
+
+
+def test_lookups_on_fresh_arc_match_materialized_arc():
+    for s, d, w, tau in _lazy_cases():
+        full = enumerate_arc(s, d, w, tau)
+        last = full.events[-1].alpha if full.events else 1.0
+        alphas = [e.alpha for e in full.events]
+        alphas += np.linspace(0.0, 1.2 * last + 1.0, 9).tolist()
+        for alpha in alphas:
+            fresh = enumerate_arc(s, d, w, tau)
+            assert _fields(fresh.segment_at(alpha)) == _fields(
+                full.segment_at(alpha))
+            fresh = enumerate_arc(s, d, w, tau)
+            assert np.array_equal(fresh.point_at(alpha), full.point_at(alpha))
+            fresh = enumerate_arc(s, d, w, tau)
+            assert fresh.lambda_of(alpha) == full.lambda_of(alpha)
+
+
+def test_enumeration_error_surfaces_from_segments(monkeypatch):
+    # A filter that admits nothing leaves the same add event due at the same
+    # alpha forever, so the walk runs out of its event budget.
+    monkeypatch.setattr(arc_module, "support_addition_filter",
+                        lambda I, J, r, w: set(I))
+    arc = enumerate_arc(np.array([2.0, 0.5]), np.array([0.0, 1.0]),
+                        np.ones(2), 1.0)
+    for _ in range(2):
+        with pytest.raises(ArcEnumerationError):
+            arc.segments
+    with pytest.raises(ArcEnumerationError):
+        list(arc.iter_segments())
+
+
+def _scalar_scan(candidates):
+    """The sequential tie rule over (index, offset) pairs, in their order."""
+    best, out = np.inf, []
+    for i, delta in candidates:
+        if delta < best - _TIE:
+            best, out = delta, [i]
+        elif delta <= best + _TIE:
+            out.append(i)
+    return best, tuple(sorted(out))
+
+
+def test_near_tied_add_candidates_follow_scalar_scan():
+    # Coordinate 0 alone carries the projection; 1 and 2 are due to join
+    # at offsets less than _TIE apart, the later index first.
+    s = np.array([2.0, 0.5, 0.5 + 5e-14])
+    d = np.array([0.0, 1.0, 1.0])
+    w = np.ones(3)
+    p, lam = project(s, w, 1.0)
+    assert np.nonzero(p)[0].tolist() == [0]
+    slope = 0.0  # r[0] = |d[0]| = 0
+    deltas = [(j, max((w[j] * lam - abs(s[j])) / (d[j] - w[j] * slope), 0.0))
+              for j in (1, 2)]
+    assert 0 < deltas[0][1] - deltas[1][1] < _TIE
+    best, idx = _scalar_scan(deltas)
+    event = enumerate_arc(s, d, w, 1.0).events[0]
+    assert (event.kind, event.indices) == ("support_add", idx) == (
+        "support_add", (1, 2))
+    assert event.alpha == 0.0 + best
+    assert event.alpha == deltas[0][1]  # not the smaller offset
+
+
+def test_near_tied_remove_candidates_follow_scalar_scan():
+    # All three coordinates carry the projection; 1 and 2 are due to leave
+    # at offsets less than _TIE apart, the later one first in set order.
+    s = np.array([3.0, 1.0 + 2e-14, 1.0])
+    d = np.array([1.0, 0.0, 0.0])
+    w = np.ones(3)
+    tau = 2.5
+    p, lam = project(s, w, tau)
+    support = set(int(i) for i in np.nonzero(p)[0])
+    assert support == {0, 1, 2}
+    r = np.abs(d)
+    slope = float(sum(w[i] * r[i] for i in support)
+                  / sum(w[i] * w[i] for i in support))
+    deltas = []
+    for i in support:
+        den = w[i] * slope - r[i]
+        if den > _TIE:
+            deltas.append((i, max((abs(s[i]) - w[i] * lam) / den, 0.0)))
+    assert [i for i, _ in deltas] == [1, 2]
+    assert 0 < deltas[0][1] - deltas[1][1] < _TIE
+    best, idx = _scalar_scan(deltas)
+    event = enumerate_arc(s, d, w, tau).events[0]
+    assert (event.kind, event.indices) == ("support_remove", idx) == (
+        "support_remove", (1, 2))
+    assert event.alpha == 0.0 + best
+    assert event.alpha == deltas[0][1]
+
+
+def test_earliest_matches_scalar_scan_on_chains():
+    # Offsets in chains whose neighbours sit about _TIE apart: a scan limited
+    # to a fixed multiple of _TIE above the minimum would miss the far links.
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        k = int(rng.integers(1, 12))
+        base = float(rng.choice([0.0, 0.5, 3.0]))
+        steps = rng.uniform(0.55, 0.95, size=k) * _TIE
+        delta = base + np.cumsum(steps) - steps[0]
+        delta = np.concatenate([delta, base + rng.uniform(0.0, 1e-9, size=3)])
+        idx = rng.permutation(len(delta))
+        # Descending chains are the hard case: each link resets or joins
+        # depending on the link before it.
+        order = (np.argsort(-delta, kind="stable") if rng.random() < 0.5
+                 else rng.permutation(len(delta)))
+        best, out = _earliest(idx[order], delta[order])
+        ref_best, ref_idx = _scalar_scan(zip(idx[order].tolist(),
+                                             delta[order].tolist()))
+        assert best == ref_best
+        assert tuple(sorted(out)) == ref_idx

@@ -92,6 +92,25 @@ def test_missing_b_manifest(tmp_path, capsys):
     assert main(["solve", "--manifest", str(manifest)]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("command, mode, bad", [
+    ("solve", "tau", "b"), ("root", "sigma", "b"), ("root", "sigma", "sigma"),
+])
+def test_non_finite_data_exits_bad_input(tmp_path, capsys, command, mode, bad):
+    out = _gen(tmp_path, "--mode", mode)
+    capsys.readouterr()
+    manifest = out / "manifest.txt"
+    if bad == "b":
+        b = lio.read_vector(str(out / "b.txt"))
+        b[3] = np.nan
+        lio.write_vector(str(out / "b.txt"), b)
+    else:
+        lines = [ln for ln in manifest.read_text().splitlines()
+                 if not ln.startswith(bad)]
+        manifest.write_text("\n".join(lines + [f"{bad} = nan"]) + "\n")
+    assert main([command, "--manifest", str(manifest)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_gen_determinism(tmp_path, capsys):
     out1 = _gen(tmp_path / "a", seed=5)
     out2 = _gen(tmp_path / "b", seed=5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lassokit import solver as solver_module
 from lassokit.arc import enumerate_arc
 from lassokit.linesearch import (
     HistoryBuffer,
@@ -15,10 +16,13 @@ from lassokit.linesearch import (
 from lassokit.model import (
     DenseOperator,
     LassoProblem,
+    LinearOperator,
     RayObjective,
     SolverOptions,
     evaluate,
 )
+from lassokit.probgen import GeneratorSpec, gen_instance
+from lassokit.solver import spg_solve
 
 
 def _clamp_problem(tau=1.0):
@@ -198,3 +202,52 @@ def test_trajectory_interior_segment_is_exact_ray_minimizer():
     a_star = alpha_opt(p, it, -it.g)
     assert res.alpha == pytest.approx(a_star, rel=1e-10)
     assert np.allclose(res.iterate.x, it.x - a_star * it.g)
+
+
+def test_trajectory_search_forms_ray_product_once():
+    # Inside the ball every segment lies on the ray x + a*d, so A*x - b is
+    # the iterate's residual and A*d is formed once for all of them.  Here
+    # f = 0.5*||x - b||^2: the ray crosses zero at a = 1/2, 2/3, 3/4, 4/5
+    # and reaches its minimum at a = 1, all inside the ball.
+    forwards = [0]
+
+    def forward(x):
+        forwards[0] += 1
+        return x.copy()
+
+    p = LassoProblem(op=LinearOperator((5, 5), forward, lambda y: y.copy()),
+                     b=np.array([-1.0, 1.0, -1.0, 1.0, 1.0]), tau=1e6)
+    it = evaluate(p, np.array([1.0, -2.0, 3.0, -4.0, 0.5]))
+    arc = enumerate_arc(it.x, -it.g, p.w, p.tau)
+    h = HistoryBuffer(10)
+    h.push(it.f)
+    opts = SolverOptions(line_search_mode="trajectory")
+    forwards[0] = 0
+    res = trajectory_search(p, it, arc, h, opts)
+    assert res.status == "accepted"
+    assert res.alpha == pytest.approx(1.0)
+    assert [seg.inside for seg in arc.segments[:5]] == [True] * 5
+    assert forwards[0] == 2  # A*d, then the residual at the accepted point
+
+
+@pytest.mark.parametrize("scan", ["first_local", "global"])
+def test_trajectory_search_walks_only_what_it_reads(monkeypatch, scan):
+    # first_local stops at its first local minimum, leaving the rest of the
+    # arc unwalked; global reads every segment.
+    walked = []
+
+    def spy(problem, it, arc, history, options):
+        res = trajectory_search(problem, it, arc, history, options)
+        walked.append((len(arc._segments), len(arc.segments)))
+        return res
+
+    monkeypatch.setattr(solver_module, "trajectory_search", spy)
+    inst = gen_instance(GeneratorSpec(m=64, n=128, kind="gaussian", k=10), 1)
+    spg_solve(inst.problem(), options=SolverOptions(
+        line_search_mode="trajectory", trajectory_scan=scan, max_iter=20))
+    assert len(walked) == 20
+    if scan == "global":
+        assert all(read == total for read, total in walked)
+    else:
+        assert all(read < total for read, total in walked)
+        assert sum(r for r, _ in walked) < sum(t for _, t in walked) / 3

@@ -56,6 +56,24 @@ def test_problem_validation():
     assert np.array_equal(p.c, np.zeros(2))
 
 
+def test_problem_rejects_non_finite_data():
+    a = np.ones((3, 2))
+    nan_b = np.array([1.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="b has a non-finite entry"):
+        LassoProblem(op=DenseOperator(a), b=nan_b, tau=1.0)
+    with pytest.raises(ValueError, match="c has a non-finite entry"):
+        LassoProblem(op=DenseOperator(a), b=np.ones(3), tau=1.0,
+                     c=np.array([0.0, np.inf]))
+    with pytest.raises(ValueError, match="w has a non-finite entry"):
+        LassoProblem(op=DenseOperator(a), b=np.ones(3), tau=1.0,
+                     w=np.array([1.0, np.inf]))
+    for tau, mu in ((np.nan, 0.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            LassoProblem(op=DenseOperator(a), b=np.ones(3), tau=tau, mu=mu)
+    # An infinite radius is still accepted.
+    LassoProblem(op=DenseOperator(a), b=np.ones(3), tau=np.inf)
+
+
 def test_objective_and_gradient_finite_differences():
     rng = np.random.default_rng(0)
     for mu, with_c in ((0.0, False), (0.3, True)):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lassokit.model import DenseOperator, LassoProblem
+from lassokit import rootfind
+from lassokit.model import DenseOperator, LassoProblem, LinearOperator
 from lassokit.rootfind import (
     STATUS_CONVERGED,
     newton_tau_update,
@@ -41,6 +42,8 @@ def test_negative_sigma_raises():
     p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.ones(2), tau=0.0)
     with pytest.raises(ValueError):
         solve_bpdn(p, sigma=-1.0)
+    with pytest.raises(ValueError):
+        solve_bpdn(p, sigma=float("nan"))
 
 
 def test_unknown_solver_raises():
@@ -90,3 +93,40 @@ def test_misfit_certificate_scaling():
     report = solve_bpdn(p, sigma=float(np.linalg.norm(b)) * 0.9)
     assert report.status == STATUS_CONVERGED
     assert abs(report.misfit - report.sigma) <= 1e-5 * max(report.sigma, 1e-3)
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+def test_root_run_forward_products_are_the_subproblems(monkeypatch, solver):
+    # The misfit comes from each subproblem's residual: outside the
+    # subproblem solves, a root run makes no forward product.
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(32, 64))
+    a /= np.linalg.norm(a, axis=0)
+    x0 = np.zeros(64)
+    x0[rng.choice(64, 5, replace=False)] = rng.choice([-1.0, 1.0], 5)
+    forwards = [0]
+    in_solves = [0]
+
+    def forward(x):
+        forwards[0] += 1
+        return a @ x
+
+    def counted(solve):
+        def run(*args, **kwargs):
+            before = forwards[0]
+            report = solve(*args, **kwargs)
+            in_solves[0] += forwards[0] - before
+            assert np.array_equal(report.r, a @ report.x - b)
+            return report
+        return run
+
+    name = f"{solver}_solve"
+    monkeypatch.setattr(rootfind, name, counted(getattr(rootfind, name)))
+    b = a @ x0 + 0.01 * rng.normal(size=32)
+    op = LinearOperator(a.shape, forward, lambda y: a.T @ y)
+    p = LassoProblem(op=op, b=b, tau=0.0, mu=1e-3)
+    report = solve_bpdn(p, sigma=0.05 * float(np.linalg.norm(b)), solver=solver)
+    assert report.subproblems >= 2
+    assert in_solves[0] > 0
+    assert forwards[0] == in_solves[0]
+    assert report.misfit == float(np.linalg.norm(b - a @ report.x))
