@@ -95,6 +95,19 @@ class SearchResult:
     trials: int = 0
 
 
+def _accept(problem: LassoProblem, iterate: Iterate, xa: NDArray, alpha: float,
+            fmax: float, options: SolverOptions, trials: int) -> SearchResult | None:
+    """Nonmonotone test of the trial point xa: `stationary` for a zero-length
+    move, `accepted` when f(xa) <= fmax + gamma * g'(xa - x), else None."""
+    dx = xa - iterate.x
+    if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
+        return SearchResult("stationary", iterate, 0.0, trials)
+    fa, ra = objective_value(problem, xa)
+    if fa <= fmax + options.suff_decrease * float(iterate.g @ dx):
+        return SearchResult("accepted", evaluate(problem, xa, r=ra), alpha, trials)
+    return None
+
+
 def nonmonotone_armijo_backtrack(
     problem: LassoProblem,
     iterate: Iterate,
@@ -107,18 +120,13 @@ def nonmonotone_armijo_backtrack(
     Accepts the first trial with f(x(a)) <= max(history) + gamma * g'(x(a)-x).
     A zero-length accepted move reports `stationary`.
     """
-    x, g = iterate.x, iterate.g
     fmax = history.maximum()
     a = alpha0
     for k in range(options.max_backtracks):
-        xa, _ = project(x - a * g, problem.w, problem.tau)
-        dx = xa - x
-        step_norm = float(np.linalg.norm(dx))
-        if step_norm <= 1e-15 * (1.0 + float(np.linalg.norm(x))):
-            return SearchResult("stationary", iterate, 0.0, k + 1)
-        fa, ra = objective_value(problem, xa)
-        if fa <= fmax + options.suff_decrease * float(g @ dx):
-            return SearchResult("accepted", evaluate(problem, xa, r=ra), a, k + 1)
+        xa, _ = project(iterate.x - a * iterate.g, problem.w, problem.tau)
+        res = _accept(problem, iterate, xa, a, fmax, options, k + 1)
+        if res is not None:
+            return res
         a *= options.backtrack_factor
     return SearchResult("failed", None, 0.0, options.max_backtracks)
 
@@ -159,71 +167,50 @@ def face_wolfe_search(
 class _ArcProducts:
     """Forward products for the projection trajectory, updated by columns.
 
-    Maintains A*(s on I), A*(d on I) and A*(sign-weight vector on I) for the
-    current segment support I, rebuilding from scratch every
-    RECOMPUTE_EVERY column updates to bound drift.
+    Maintains A*(s on the support), A*(d on the support) and A*(sign*w) for
+    the current segment, where `sign` holds the support's signs and is zero
+    off it; rebuilt from scratch every RECOMPUTE_EVERY column updates to
+    bound drift.
     """
 
     def __init__(self, problem: LassoProblem, arc: ProjectionArc):
         self.problem = problem
         self.arc = arc
         self.updates = 0
-        self.I: set[int] = set()
+        self.sign = np.zeros(len(arc.s))
         m = problem.shape[0]
         self.us = np.zeros(m)
         self.ud = np.zeros(m)
         self.uv = np.zeros(m)
-        self._signs: dict[int, float] = {}
-
-    def _col(self, i: int) -> NDArray:
-        return self.problem.op.column(i)
 
     def set_support(self, support: NDArray, signs: NDArray) -> None:
-        new = dict(zip(support.tolist(), signs.tolist()))
-        old = set(self.I)
-        target = set(new)
-        arc = self.arc
-        common = old & target
-        # Kept entries whose sign flipped: the items intersection holds the
-        # kept entries whose sign did not.
-        flips = len(common) - len(self._signs.items() & new.items())
-        changed = len(old ^ target) + flips
-        self.updates += changed
-        if self.updates >= RECOMPUTE_EVERY or changed > len(target):
+        new = np.zeros(len(self.sign))
+        new[support] = signs
+        changed = np.flatnonzero(new != self.sign)
+        self.updates += len(changed)
+        if self.updates >= RECOMPUTE_EVERY or len(changed) > len(support):
             self._rebuild(new)
             return
-        for i in old - target:
-            col = self._col(i)
-            self.us -= col * arc.s[i]
-            self.ud -= col * arc.d[i]
-            self.uv -= col * self._signs[i] * arc.w[i]
-        for i in target - old:
-            col = self._col(i)
-            self.us += col * arc.s[i]
-            self.ud += col * arc.d[i]
-            self.uv += col * new[i] * arc.w[i]
-        if flips:
-            for i in common:
-                if self._signs[i] != new[i]:
-                    col = self._col(i)
-                    self.uv += col * (new[i] - self._signs[i]) * arc.w[i]
-        self.I = target
-        self._signs = new
+        arc = self.arc
+        for i, old, sg in zip(changed.tolist(), self.sign[changed].tolist(),
+                              new[changed].tolist()):
+            col = self.problem.op.column(i)
+            if old == 0:  # joins the support
+                self.us += col * arc.s[i]
+                self.ud += col * arc.d[i]
+            elif sg == 0:  # leaves it
+                self.us -= col * arc.s[i]
+                self.ud -= col * arc.d[i]
+            self.uv += col * (sg - old) * arc.w[i]
+        self.sign = new
 
-    def _rebuild(self, new: dict[int, float]) -> None:
-        arc, prob = self.arc, self.problem
-        idx = np.array(sorted(new), dtype=int)
-        sv = np.zeros(len(arc.s))
-        dv = np.zeros(len(arc.s))
-        vv = np.zeros(len(arc.s))
-        sv[idx] = arc.s[idx]
-        dv[idx] = arc.d[idx]
-        vv[idx] = np.array([new[int(i)] for i in idx]) * arc.w[idx]
-        self.us = prob.op.apply(sv)
-        self.ud = prob.op.apply(dv)
-        self.uv = prob.op.apply(vv)
-        self.I = set(new)
-        self._signs = dict(new)
+    def _rebuild(self, new: NDArray) -> None:
+        op, arc = self.problem.op, self.arc
+        on = new != 0
+        self.us = op.apply(np.where(on, arc.s, 0.0))
+        self.ud = op.apply(np.where(on, arc.d, 0.0))
+        self.uv = op.apply(new * arc.w)
+        self.sign = new
         self.updates = 0
 
 
@@ -236,16 +223,13 @@ def trajectory_search(
 ) -> SearchResult:
     """Minimize the objective along the projection trajectory P(x - a*g_scaled).
 
-    `arc` starts at `iterate.x`.  Scans segments in order, walking the arc
-    only as far as it reads; `first_local` stops at the first interior
-    minimum, `global` keeps the best over all segments.  The winner must
-    still pass the nonmonotone sufficient-decrease test against `history`;
-    otherwise the caller falls back to plain backtracking.
+    `arc` starts at `iterate.x`.  Scans segments in order and stops at the
+    first local minimum, walking the arc only as far as it reads.  The
+    minimizer must still pass the nonmonotone sufficient-decrease test
+    against `history`; otherwise the caller falls back to plain backtracking.
     """
     prods = _ArcProducts(problem, arc)
     b, c, mu = problem.b, problem.c, problem.mu
-    best_alpha, best_f = None, np.inf
-    chosen = None
     ad = None  # A*d, formed on the first inside segment
     for seg in arc.iter_segments():
         lo, hi = seg.alpha_lo, seg.alpha_hi
@@ -266,44 +250,23 @@ def trajectory_search(
             sup = seg.support
             q[sup] = arc.s[sup] - c0 * seg.signs * arc.w[sup]
             h[sup] = arc.d[sup] - c1 * seg.signs * arc.w[sup]
+        # On the segment f = const + a*a1 + 0.5*a^2*a2.
         a2 = float(D @ D) + mu * float(h @ h)
         a1 = float(P @ D) + mu * float(q @ h) + float(c @ h)
-        a0 = 0.5 * float(P @ P) + 0.5 * mu * float(q @ q) + float(c @ q)
-
-        def val(a: float) -> float:
-            return a0 + a * (a1 + 0.5 * a * a2)
-
-        hi_eff = hi if np.isfinite(hi) else lo + max(1.0, abs(lo))
         if a2 > 0:
             a_min = -a1 / a2
-        else:
-            a_min = lo if a1 >= 0 else hi_eff
-        cand = min(max(a_min, lo), hi if np.isfinite(hi) else a_min)
-        cand = max(cand, lo)
-        f_cand = val(cand)
-        if f_cand < best_f:
-            best_f, best_alpha = f_cand, cand
-        if options.trajectory_scan == "first_local":
-            if a2 > 0 and a_min < lo and lo > 0:
-                # Objective turned upward at the previous breakpoint.
-                chosen = (lo, val(lo))
+            if a_min < lo and lo > 0:
+                alpha = lo  # the objective turned upward at this breakpoint
                 break
-            interior_min = a2 > 0 and lo <= a_min and (
-                not np.isfinite(hi) or a_min < hi
-            )
-            if interior_min or not np.isfinite(hi):
-                chosen = (cand, f_cand)
+            if lo <= a_min < hi:
+                alpha = a_min
                 break
-    if chosen is None:
-        chosen = (best_alpha, best_f)
-    alpha, _ = chosen
-    if alpha is None or alpha <= 0:
+        if not np.isfinite(hi):
+            # The last segment: a convex f rising from lo, or a linear one.
+            alpha = lo if a2 > 0 or a1 >= 0 else lo + max(1.0, abs(lo))
+            break
+    if alpha <= 0:
         return SearchResult("failed")
-    xa = arc.point_at(alpha)
-    dx = xa - iterate.x
-    if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
-        return SearchResult("stationary", iterate, 0.0, 1)
-    fa, ra = objective_value(problem, xa)
-    if fa <= history.maximum() + options.suff_decrease * float(iterate.g @ dx):
-        return SearchResult("accepted", evaluate(problem, xa, r=ra), alpha, 1)
-    return SearchResult("failed")
+    res = _accept(problem, iterate, arc.point_at(alpha), alpha,
+                  history.maximum(), options, 1)
+    return res or SearchResult("failed")

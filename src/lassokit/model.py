@@ -183,10 +183,8 @@ class SolverOptions:
     alpha_max: float = 1e10
     suff_decrease: float = 1e-4  # Armijo gamma
     backtrack_factor: float = 0.5
-    wolfe_suff: float = 1e-4  # gamma_1
     wolfe_curv: float = 0.9  # gamma_2
     line_search_mode: str = "backtracking"  # or "trajectory"
-    trajectory_scan: str = "first_local"  # or "global"
     max_backtracks: int = 50
     curvature_eps: float = 1e-12
     trace: bool = False
@@ -196,11 +194,9 @@ class SolverOptions:
             raise ValueError("need 0 < alpha_min <= alpha_max")
         if not (0 < self.suff_decrease < 1 and 0 < self.backtrack_factor < 1):
             raise ValueError("Armijo parameters must lie in (0, 1)")
-        if not (0 < self.wolfe_suff < 0.5 < self.wolfe_curv < 1):
-            raise ValueError("need 0 < wolfe_suff < 1/2 < wolfe_curv < 1")
+        if not (0.5 < self.wolfe_curv < 1):
+            raise ValueError("need 1/2 < wolfe_curv < 1")
         if self.history_len < 1 or self.memory < 1:
             raise ValueError("history and memory lengths must be positive")
         if self.line_search_mode not in ("backtracking", "trajectory"):
             raise ValueError(f"unknown line_search_mode {self.line_search_mode!r}")
-        if self.trajectory_scan not in ("first_local", "global"):
-            raise ValueError(f"unknown trajectory_scan {self.trajectory_scan!r}")

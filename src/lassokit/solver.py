@@ -285,13 +285,11 @@ def _maintain_model(
     )
     if not (same_face and cone_ok):
         return None, None, None
+    s, y = last_sy
     if model is None or model_face != face:
-        s, y = last_sy
         h0 = bb_step(s, y, options.alpha_min, options.alpha_max)
         model = LbfgsModel(options.memory, h0, options.curvature_eps)
         basis = _face_basis_or_identity(face, problem)
         model_face = face
-    s_red = _reduce(basis, it.x - prev.x)
-    y_red = _reduce(basis, it.g - prev.g)
-    model.update(s_red, y_red)
+    model.update(_reduce(basis, s), _reduce(basis, y))
     return model, basis, model_face

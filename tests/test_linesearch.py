@@ -3,7 +3,9 @@ import pytest
 
 from lassokit import solver as solver_module
 from lassokit.arc import enumerate_arc
+from lassokit.ball import project
 from lassokit.linesearch import (
+    RECOMPUTE_EVERY,
     HistoryBuffer,
     UnboundedRayError,
     alpha_opt,
@@ -12,6 +14,7 @@ from lassokit.linesearch import (
     nonmonotone_armijo_backtrack,
     trajectory_search,
     wolfe_window,
+    _ArcProducts,
 )
 from lassokit.model import (
     DenseOperator,
@@ -20,6 +23,7 @@ from lassokit.model import (
     RayObjective,
     SolverOptions,
     evaluate,
+    objective_value,
 )
 from lassokit.probgen import GeneratorSpec, gen_instance
 from lassokit.solver import spg_solve
@@ -163,40 +167,42 @@ def test_face_wolfe_search_cases():
     assert face_wolfe_search(p, it, -d, np.inf, opts).status == "failed"
 
 
-def _traj_setup(rng, tau, mode="global"):
+def _traj_setup(rng, tau):
     p = LassoProblem(op=DenseOperator(rng.normal(size=(8, 5))),
                      b=rng.normal(size=8), tau=tau)
-    from lassokit.ball import project
-
     x, _ = project(rng.normal(size=5), p.w, tau)
     it = evaluate(p, x)
     arc = enumerate_arc(x, -it.g, p.w, tau)
     h = HistoryBuffer(10)
     h.push(it.f)
-    opts = SolverOptions(line_search_mode="trajectory", trajectory_scan=mode)
+    opts = SolverOptions(line_search_mode="trajectory")
     return p, it, arc, h, opts
 
 
-def test_trajectory_global_matches_dense_sampling():
+def test_trajectory_search_stops_at_first_local_minimum():
+    # Dense-sampling oracle: nothing on the arc before the accepted step is
+    # lower, and the arc rises just after it.
     rng = np.random.default_rng(2)
+    checked = 0
     for _ in range(10):
         p, it, arc, h, opts = _traj_setup(rng, tau=1.0)
         res = trajectory_search(p, it, arc, h, opts)
         if res.status != "accepted":
             continue
-        last = arc.events[-1].alpha if arc.events else 1.0
-        alphas = np.linspace(0.0, last + 1.0, 1000)
-        from lassokit.model import objective_value
-
+        f = res.iterate.f
         sampled = min(objective_value(p, arc.point_at(float(a)))[0]
-                      for a in alphas)
-        assert res.iterate.f <= sampled + 1e-8 * (1 + abs(sampled))
+                      for a in np.linspace(0.0, res.alpha, 1000))
+        assert sampled >= f - 1e-8 * (1 + abs(f))
+        after = res.alpha + 1e-6 * (1 + res.alpha)
+        assert objective_value(p, arc.point_at(after))[0] > f
+        checked += 1
+    assert checked >= 1
 
 
 def test_trajectory_interior_segment_is_exact_ray_minimizer():
     rng = np.random.default_rng(3)
     # Huge radius: the whole trajectory is the unprojected ray.
-    p, it, arc, h, opts = _traj_setup(rng, tau=1e6, mode="first_local")
+    p, it, arc, h, opts = _traj_setup(rng, tau=1e6)
     res = trajectory_search(p, it, arc, h, opts)
     assert res.status == "accepted"
     a_star = alpha_opt(p, it, -it.g)
@@ -230,10 +236,9 @@ def test_trajectory_search_forms_ray_product_once():
     assert forwards[0] == 2  # A*d, then the residual at the accepted point
 
 
-@pytest.mark.parametrize("scan", ["first_local", "global"])
-def test_trajectory_search_walks_only_what_it_reads(monkeypatch, scan):
-    # first_local stops at its first local minimum, leaving the rest of the
-    # arc unwalked; global reads every segment.
+def test_trajectory_search_walks_only_what_it_reads(monkeypatch):
+    # The search stops at its first local minimum, leaving the rest of the
+    # arc unwalked.
     walked = []
 
     def spy(problem, it, arc, history, options):
@@ -244,10 +249,72 @@ def test_trajectory_search_walks_only_what_it_reads(monkeypatch, scan):
     monkeypatch.setattr(solver_module, "trajectory_search", spy)
     inst = gen_instance(GeneratorSpec(m=64, n=128, kind="gaussian", k=10), 1)
     spg_solve(inst.problem(), options=SolverOptions(
-        line_search_mode="trajectory", trajectory_scan=scan, max_iter=20))
+        line_search_mode="trajectory", max_iter=20))
     assert len(walked) == 20
-    if scan == "global":
-        assert all(read == total for read, total in walked)
-    else:
-        assert all(read < total for read, total in walked)
-        assert sum(r for r, _ in walked) < sum(t for _, t in walked) / 3
+    assert all(read < total for read, total in walked)
+    assert sum(r for r, _ in walked) < sum(t for _, t in walked) / 3
+
+
+def _close(u, ref):
+    return np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_arc_products_match_direct_products():
+    # After every outside segment, the column-updated products equal fresh
+    # products of the masked s, the masked d and sign*w.  Each arc starts
+    # from a dense point inside the ball and changes a few support entries
+    # per event, so its runs of column updates cross RECOMPUTE_EVERY.
+    rng = np.random.default_rng(7)
+    m, n = 64, 128
+    for _ in range(4):
+        op = DenseOperator(rng.normal(size=(m, n)))
+        p = LassoProblem(op=op, b=rng.normal(size=m), tau=1.0,
+                         w=rng.uniform(0.5, 2.0, size=n))
+        x = rng.normal(size=n)
+        x *= 0.9 / float(p.w @ np.abs(x))
+        arc = enumerate_arc(x, 5.0 * rng.normal(size=n), p.w, p.tau)
+        prods = _ArcProducts(p, arc)
+        rebuilds = incremental = 0
+        for seg in arc.iter_segments():
+            if seg.inside:
+                continue
+            before = prods.updates
+            prods.set_support(seg.support, seg.signs)
+            if prods.updates == 0:
+                rebuilds += before > 0
+            else:
+                incremental += 1
+            sign = np.zeros(n)
+            sign[seg.support] = seg.signs
+            on = sign != 0
+            assert _close(prods.us, op.apply(np.where(on, arc.s, 0.0)))
+            assert _close(prods.ud, op.apply(np.where(on, arc.d, 0.0)))
+            assert _close(prods.uv, op.apply(sign * p.w))
+        assert rebuilds >= 1
+        assert incremental > 2 * RECOMPUTE_EVERY
+
+
+def test_arc_products_sign_flip_moves_only_uv():
+    columns = [0]
+
+    def column(i):
+        columns[0] += 1
+        return a[:, i]
+
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(6, 8))
+    p = LassoProblem(op=LinearOperator(a.shape, lambda x: a @ x,
+                                       lambda y: a.T @ y, column),
+                     b=rng.normal(size=6), tau=1.0,
+                     w=rng.uniform(0.5, 2.0, size=8))
+    arc = enumerate_arc(rng.normal(size=8), rng.normal(size=8), p.w, p.tau)
+    prods = _ArcProducts(p, arc)
+    support = np.array([1, 3, 5])
+    prods.set_support(support, np.array([1.0, 1.0, -1.0]))
+    us, ud, uv = prods.us.copy(), prods.ud.copy(), prods.uv.copy()
+    columns[0] = 0
+    prods.set_support(support, np.array([1.0, -1.0, -1.0]))
+    assert columns[0] == 1
+    assert np.array_equal(prods.us, us) and np.array_equal(prods.ud, ud)
+    assert np.allclose(prods.uv - uv, -2.0 * p.w[3] * a[:, 3],
+                       rtol=0.0, atol=1e-12)

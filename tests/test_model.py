@@ -134,12 +134,8 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(suff_decrease=1.5)
     with pytest.raises(ValueError):
-        SolverOptions(wolfe_suff=0.6)
-    with pytest.raises(ValueError):
         SolverOptions(wolfe_curv=0.4)
     with pytest.raises(ValueError):
         SolverOptions(history_len=0)
     with pytest.raises(ValueError):
         SolverOptions(line_search_mode="bogus")
-    with pytest.raises(ValueError):
-        SolverOptions(trajectory_scan="bogus")

@@ -136,11 +136,9 @@ def test_trajectory_mode_solves():
     x0[rng.choice(64, 6, replace=False)] = 1.0
     p = LassoProblem(op=DenseOperator(a), b=a @ x0,
                      tau=0.99 * float(np.sum(np.abs(x0))))
-    for scan in ("first_local", "global"):
-        report = hybrid_solve(p, options=SolverOptions(
-            line_search_mode="trajectory", trajectory_scan=scan))
-        assert report.status == STATUS_OPTIMAL
-        assert report.gap <= 1e-6
+    report = hybrid_solve(p, options=SolverOptions(line_search_mode="trajectory"))
+    assert report.status == STATUS_OPTIMAL
+    assert report.gap <= 1e-6
 
 
 def test_matches_small_oracle():
