@@ -64,43 +64,53 @@ def project(u: NDArray, w: NDArray, tau: float) -> tuple[NDArray, float]:
     return prox_weighted_l1(u, lam, w), lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceId:
     """Identifies the face of the ball a feasible point lies in.
 
     kind is "interior" (the whole ball) or "proper" (a boundary face,
-    characterized by the sign pattern of the point).
+    characterized by the sign pattern of the point, held as an int8 array).
     """
 
     kind: str
-    signs: tuple[int, ...] | None = None
+    signs: NDArray | None = None
+
+    def __post_init__(self):
+        if self.signs is not None:
+            object.__setattr__(self, "signs", np.asarray(self.signs, dtype=np.int8))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaceId):
+            return NotImplemented
+        # array_equal holds None equal to None and to no array.
+        return self.kind == other.kind and np.array_equal(self.signs, other.signs)
 
     @property
-    def support(self) -> tuple[int, ...]:
+    def support(self) -> NDArray:
         if self.signs is None:
             raise ValueError("interior face has no sign pattern")
-        return tuple(i for i, s in enumerate(self.signs) if s != 0)
+        return np.flatnonzero(self.signs)
 
     @property
     def dim(self) -> int | None:
         """Dimension of the face (len(support) - 1), or None for interior."""
         if self.kind == "interior":
             return None
-        return len(self.support) - 1
+        return int(np.count_nonzero(self.signs)) - 1
 
 
 def face_of(x: NDArray, w: NDArray, tau: float, feas_tol: float = FEAS_TOL) -> FaceId:
-    """Classify the face containing feasible x; raises if x is infeasible."""
+    """Classify the face containing feasible x; raises if x is infeasible or NaN."""
     if tau <= 0:
         raise ValueError("radius must be positive to classify faces")
     norm = weighted_l1_norm(x, w)
-    if norm > tau * (1.0 + feas_tol):
+    if not norm <= tau * (1.0 + feas_tol):
         raise InfeasiblePointError(
             f"weighted one-norm {norm} exceeds radius {tau} beyond slack"
         )
     if norm < tau * (1.0 - feas_tol):
         return FaceId("interior")
-    return FaceId("proper", tuple(int(v) for v in np.sign(x)))
+    return FaceId("proper", np.sign(x))
 
 
 def in_self_projection_cone(

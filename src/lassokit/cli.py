@@ -203,8 +203,7 @@ def cmd_bench(args) -> int:
         solvers = list(cfg.get("solvers", ["spg", "hybrid"]))
         tols = [float(t) for t in cfg.get("tols", [1e-6])]
         instances = int(cfg.get("instances", 5))
-        if base["kind"] not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {base['kind']!r}")
+        GeneratorSpec(**base, k=0)  # checks the kind, m and gamma
         for d in dists:
             if d not in SIGNAL_DISTS:
                 raise ValueError(f"unknown signal distribution {d!r}")

@@ -70,7 +70,7 @@ def optimal_dual_lambda(z: NDArray, w: NDArray, tau: float, mu: float) -> float:
     """argmin over lam >= 0 of tau*lam + (1/2mu) * ||max(z - lam*w, 0)||^2.
 
     z must be nonnegative.  The derivative is piecewise linear and increasing
-    in lam with breakpoints z_i / w_i; scan them once after sorting.
+    in lam with breakpoints z_i / w_i; evaluate it at all of them after sorting.
     """
     if mu <= 0:
         raise ValueError("optimized multiplier requires mu > 0")
@@ -80,22 +80,17 @@ def optimal_dual_lambda(z: NDArray, w: NDArray, tau: float, mu: float) -> float:
     t = t[order]
     wz = (w * z)[order]
     w2 = (w * w)[order]
-    # Above breakpoint t_k the entries 0..k are inactive.
     swz = np.concatenate([[0.0], np.cumsum(wz)])
     sw2 = np.concatenate([[0.0], np.cumsum(w2)])
-    total_wz, total_w2 = swz[-1], sw2[-1]
-
-    def deriv(lam: float, k: int) -> float:
-        # entries with index >= k active
-        return tau - ((total_wz - swz[k]) - lam * (total_w2 - sw2[k])) / mu
-
-    if deriv(0.0, 0) >= 0:
+    # act_*[k] sums the entries k, k+1, ..., the ones active just below t_k.
+    act_wz = swz[-1] - swz
+    act_w2 = sw2[-1] - sw2
+    if tau - act_wz[0] / mu >= 0:
         return 0.0
-    for k in range(len(t)):
-        if deriv(t[k], k) >= 0:
-            act_wz = total_wz - swz[k]
-            act_w2 = total_w2 - sw2[k]
-            return float((act_wz - mu * tau) / act_w2)
+    ks = np.flatnonzero(tau - (act_wz[:-1] - t * act_w2[:-1]) / mu >= 0)
+    if ks.size:
+        k = ks[0]
+        return float((act_wz[k] - mu * tau) / act_w2[k])
     return float(t[-1]) if len(t) else 0.0
 
 

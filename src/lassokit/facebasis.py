@@ -41,11 +41,11 @@ def basis_init(face: FaceId, w: NDArray, n: int) -> FaceBasis:
     """Build the implicit basis for a proper face with at least two vertices."""
     if face.kind != "proper":
         raise ValueError("interior region has no face basis; use the identity")
-    support = np.array(face.support, dtype=int)
+    support = face.support
     p = len(support)
     if p < 2:
         raise ValueError("face basis requires support size >= 2, got a vertex")
-    signs = np.array([face.signs[i] for i in support], dtype=float)
+    signs = face.signs[support].astype(float)
     what = 1.0 / np.asarray(w, dtype=float)[support]
     gamma = np.empty(p - 1)
     mu = np.empty(p - 1)

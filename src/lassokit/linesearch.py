@@ -12,17 +12,14 @@ from numpy.typing import NDArray
 
 from .arc import ProjectionArc
 from .ball import project
-from .model import (
-    Iterate,
-    LassoProblem,
-    RayObjective,
-    SolverOptions,
-    evaluate,
-    objective_value,
-)
+from .model import Iterate, LassoProblem, RayObjective, evaluate, objective_value
 
 # Incremental matrix-column products are rebuilt from scratch this often.
 RECOMPUTE_EVERY = 50
+SUFF_DECREASE = 1e-4  # Armijo gamma
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 50
+WOLFE_CURV = 0.9  # gamma_2
 
 
 class UnboundedRayError(RuntimeError):
@@ -96,14 +93,14 @@ class SearchResult:
 
 
 def _accept(problem: LassoProblem, iterate: Iterate, xa: NDArray, alpha: float,
-            fmax: float, options: SolverOptions, trials: int) -> SearchResult | None:
+            fmax: float, trials: int) -> SearchResult | None:
     """Nonmonotone test of the trial point xa: `stationary` for a zero-length
     move, `accepted` when f(xa) <= fmax + gamma * g'(xa - x), else None."""
     dx = xa - iterate.x
     if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
         return SearchResult("stationary", iterate, 0.0, trials)
     fa, ra = objective_value(problem, xa)
-    if fa <= fmax + options.suff_decrease * float(iterate.g @ dx):
+    if fa <= fmax + SUFF_DECREASE * float(iterate.g @ dx):
         return SearchResult("accepted", evaluate(problem, xa, r=ra), alpha, trials)
     return None
 
@@ -113,7 +110,6 @@ def nonmonotone_armijo_backtrack(
     iterate: Iterate,
     alpha0: float,
     history: HistoryBuffer,
-    options: SolverOptions,
 ) -> SearchResult:
     """Backtrack along the projected path x(a) = P(x - a*g).
 
@@ -122,13 +118,13 @@ def nonmonotone_armijo_backtrack(
     """
     fmax = history.maximum()
     a = alpha0
-    for k in range(options.max_backtracks):
+    for k in range(MAX_BACKTRACKS):
         xa, _ = project(iterate.x - a * iterate.g, problem.w, problem.tau)
-        res = _accept(problem, iterate, xa, a, fmax, options, k + 1)
+        res = _accept(problem, iterate, xa, a, fmax, k + 1)
         if res is not None:
             return res
-        a *= options.backtrack_factor
-    return SearchResult("failed", None, 0.0, options.max_backtracks)
+        a *= BACKTRACK_FACTOR
+    return SearchResult("failed", None, 0.0, MAX_BACKTRACKS)
 
 
 def face_wolfe_search(
@@ -136,7 +132,6 @@ def face_wolfe_search(
     iterate: Iterate,
     d: NDArray,
     alpha_bound: float,
-    options: SolverOptions,
 ) -> SearchResult:
     """One-shot Wolfe step along a face direction, capped at the face edge.
 
@@ -151,7 +146,7 @@ def face_wolfe_search(
         a_star = alpha_opt(problem, iterate, d)
     except UnboundedRayError:
         return SearchResult("failed")
-    lo = (1.0 - options.wolfe_curv) * a_star
+    lo = (1.0 - WOLFE_CURV) * a_star
     a = a_star
     if a > alpha_bound:
         if alpha_bound >= lo:
@@ -219,7 +214,6 @@ def trajectory_search(
     iterate: Iterate,
     arc: ProjectionArc,
     history: HistoryBuffer,
-    options: SolverOptions,
 ) -> SearchResult:
     """Minimize the objective along the projection trajectory P(x - a*g_scaled).
 
@@ -268,5 +262,5 @@ def trajectory_search(
     if alpha <= 0:
         return SearchResult("failed")
     res = _accept(problem, iterate, arc.point_at(alpha), alpha,
-                  history.maximum(), options, 1)
+                  history.maximum(), 1)
     return res or SearchResult("failed")

@@ -173,30 +173,17 @@ class RayObjective:
 
 @dataclass
 class SolverOptions:
-    """Tuning knobs shared by the projected-gradient and hybrid solvers."""
+    """Settings shared by the projected-gradient and hybrid solvers.
+
+    The method's fixed constants live beside the code that reads them, in
+    `solver.py` and `linesearch.py`.
+    """
 
     opt_tol: float = 1e-6
     max_iter: int | None = None  # defaults to 10*m at solve time
-    history_len: int = 10  # nonmonotone window M
-    memory: int = 8  # quasi-Newton pair budget N
-    alpha_min: float = 1e-10
-    alpha_max: float = 1e10
-    suff_decrease: float = 1e-4  # Armijo gamma
-    backtrack_factor: float = 0.5
-    wolfe_curv: float = 0.9  # gamma_2
     line_search_mode: str = "backtracking"  # or "trajectory"
-    max_backtracks: int = 50
-    curvature_eps: float = 1e-12
     trace: bool = False
 
     def __post_init__(self):
-        if not (0 < self.alpha_min <= self.alpha_max):
-            raise ValueError("need 0 < alpha_min <= alpha_max")
-        if not (0 < self.suff_decrease < 1 and 0 < self.backtrack_factor < 1):
-            raise ValueError("Armijo parameters must lie in (0, 1)")
-        if not (0.5 < self.wolfe_curv < 1):
-            raise ValueError("need 1/2 < wolfe_curv < 1")
-        if self.history_len < 1 or self.memory < 1:
-            raise ValueError("history and memory lengths must be positive")
         if self.line_search_mode not in ("backtracking", "trajectory"):
             raise ValueError(f"unknown line_search_mode {self.line_search_mode!r}")

@@ -32,8 +32,11 @@ def gen_sphere_walk(m: int, n: int, gamma: float,
     """Unit columns walking on the sphere: <a_k, a_k+1> = 1 - gamma.
 
     Small gamma yields highly coherent columns; gamma = 1 is a memoryless
-    walk and gamma = 2 alternates antipodal points.
+    walk and gamma = 2 alternates antipodal points.  Needs m >= 2: in one
+    dimension no unit vector is orthogonal to the current column.
     """
+    if m < 2:
+        raise ValueError(f"sphere walk needs m >= 2, got {m}")
     if not 0.0 <= gamma <= 2.0:
         raise ValueError("gamma must lie in [0, 2]")
     a = np.empty((m, n))
@@ -91,6 +94,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown signal distribution {self.dist!r}")
         if self.kind == "sphere_walk" and not 0.0 < self.gamma <= 2.0:
             raise ValueError("gamma must lie in (0, 2] for sphere_walk")
+        if self.kind == "sphere_walk" and self.m < 2:
+            raise ValueError(f"sphere_walk needs m >= 2, got {self.m}")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"sparsity {self.k} out of range for n={self.n}")
         if self.noise < 0 or self.tau_mult < 0 or self.sigma_mult < 0:

@@ -36,6 +36,12 @@ STATUS_OPTIMAL = "optimal"
 STATUS_ITER_LIMIT = "iter_limit"
 STATUS_LINESEARCH_FAILURE = "linesearch_failure"
 
+HISTORY_LEN = 10  # nonmonotone window M
+MEMORY = 8  # quasi-Newton pair budget N
+ALPHA_MIN = 1e-10  # spectral step clamps
+ALPHA_MAX = 1e10
+CURVATURE_EPS = 1e-12  # pairs need s'y > CURVATURE_EPS*||s||*||y||
+
 
 @dataclass
 class TraceRecord:
@@ -44,7 +50,7 @@ class TraceRecord:
     gap: float
     step_kind: str  # "pg" | "qn" | "init"
     face_dim: int | None
-    support: tuple[int, ...] | None = None
+    support: NDArray | None = None
 
 
 @dataclass
@@ -65,18 +71,15 @@ class SolverReport:
 class LbfgsModel:
     """Limited-memory quasi-Newton model in reduced face coordinates."""
 
-    def __init__(self, memory: int, h0: float, curvature_eps: float = 1e-12):
+    def __init__(self, memory: int, h0: float):
         self.memory = memory
         self.h0 = h0
-        self.curvature_eps = curvature_eps
         self.pairs: deque[tuple[NDArray, NDArray, float]] = deque(maxlen=memory)
 
     def update(self, s: NDArray, y: NDArray) -> bool:
         """Store the pair when curvature s'y is safely positive."""
         sy = float(s @ y)
-        if sy <= self.curvature_eps * float(np.linalg.norm(s)) * float(
-            np.linalg.norm(y)
-        ):
+        if sy <= CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             return False
         self.pairs.append((s.copy(), y.copy(), 1.0 / sy))
         return True
@@ -96,21 +99,21 @@ class LbfgsModel:
         return -q
 
 
-def _initial_bb(g: NDArray, options: SolverOptions) -> float:
+def _initial_bb(g: NDArray) -> float:
     gmax = float(np.max(np.abs(g))) if len(g) else 0.0
     if gmax <= 0:
         return 1.0
-    return min(max(1.0 / gmax, options.alpha_min), options.alpha_max)
+    return min(max(1.0 / gmax, ALPHA_MIN), ALPHA_MAX)
 
 
 def _pg_search(problem: LassoProblem, it: Iterate, alpha_bb: float,
                history: HistoryBuffer, options: SolverOptions) -> SearchResult:
     if options.line_search_mode == "trajectory":
         arc = enumerate_arc(it.x, -alpha_bb * it.g, problem.w, problem.tau)
-        res = trajectory_search(problem, it, arc, history, options)
+        res = trajectory_search(problem, it, arc, history)
         if res.status != "failed":
             return res
-    return nonmonotone_armijo_backtrack(problem, it, alpha_bb, history, options)
+    return nonmonotone_armijo_backtrack(problem, it, alpha_bb, history)
 
 
 def _trivial_report(problem: LassoProblem, start: float) -> SolverReport:
@@ -125,18 +128,16 @@ def spg_solve(
     problem: LassoProblem,
     x0: NDArray | None = None,
     options: SolverOptions | None = None,
-    oracle: StoppingOracle | None = None,
 ) -> SolverReport:
-    return _solve(problem, x0, options, oracle, hybrid=False)
+    return _solve(problem, x0, options, hybrid=False)
 
 
 def hybrid_solve(
     problem: LassoProblem,
     x0: NDArray | None = None,
     options: SolverOptions | None = None,
-    oracle: StoppingOracle | None = None,
 ) -> SolverReport:
-    return _solve(problem, x0, options, oracle, hybrid=True)
+    return _solve(problem, x0, options, hybrid=True)
 
 
 def _face_basis_or_identity(face: FaceId, problem: LassoProblem) -> FaceBasis | None:
@@ -158,7 +159,6 @@ def _solve(
     problem: LassoProblem,
     x0: NDArray | None,
     options: SolverOptions | None,
-    oracle: StoppingOracle | None,
     hybrid: bool,
 ) -> SolverReport:
     start = time.perf_counter()
@@ -171,8 +171,8 @@ def _solve(
         x0 = np.zeros(n)
     x, _ = project(np.asarray(x0, dtype=float), problem.w, problem.tau)
     it = evaluate(problem, x)
-    oracle = oracle or StoppingOracle(problem, options.opt_tol)
-    history = HistoryBuffer(options.history_len)
+    oracle = StoppingOracle(problem, options.opt_tol)
+    history = HistoryBuffer(HISTORY_LEN)
     history.push(it.f)
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
@@ -197,11 +197,9 @@ def _solve(
                             time_sec=time.perf_counter() - start, trace=trace)
     record(0, "init")
 
-    alpha_bb = _initial_bb(it.g, options)
+    alpha_bb = _initial_bb(it.g)
     model: LbfgsModel | None = None
     basis: FaceBasis | None = None
-    model_face: FaceId | None = None
-    last_sy: tuple[NDArray, NDArray] | None = None
 
     iteration = 0
     while iteration < max_iter:
@@ -215,7 +213,7 @@ def _solve(
             d = _embed(basis, model.direction(g_red))
             if float(it.g @ d) < 0:
                 bound = max_step_on_face(it.x, d, problem.w, problem.tau)
-                res = face_wolfe_search(problem, it, d, bound, options)
+                res = face_wolfe_search(problem, it, d, bound)
                 if res.status == "accepted":
                     it = res.iterate
                     history.reset(it.f)
@@ -243,8 +241,7 @@ def _solve(
 
         s = it.x - prev.x
         y = it.g - prev.g
-        last_sy = (s, y)
-        alpha_bb = bb_step(s, y, options.alpha_min, options.alpha_max)
+        alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
 
         done = oracle.update(it)
         record(iteration, kind)
@@ -253,9 +250,7 @@ def _solve(
             break
 
         if hybrid:
-            model, basis, model_face = _maintain_model(
-                problem, prev, it, model, basis, model_face, last_sy, options
-            )
+            model, basis = _maintain_model(problem, prev, it, model, basis, s, y)
 
     return SolverReport(
         x=it.x, r=it.r, f=it.f, gap=oracle.gap, lam=oracle.lambda_best,
@@ -270,11 +265,14 @@ def _maintain_model(
     it: Iterate,
     model: LbfgsModel | None,
     basis: FaceBasis | None,
-    model_face: FaceId | None,
-    last_sy: tuple[NDArray, NDArray],
-    options: SolverOptions,
-) -> tuple[LbfgsModel | None, FaceBasis | None, FaceId | None]:
-    """Keep, extend, or discard the face model after a step."""
+    s: NDArray,
+    y: NDArray,
+) -> tuple[LbfgsModel | None, FaceBasis | None]:
+    """Keep, extend, or discard the face model after the step s from prev to it.
+
+    A live model was built on prev's face, so it is kept only while the
+    face stays the same.
+    """
     face = it.face
     same_face = prev.face == face
     usable = face is not None and (
@@ -284,12 +282,9 @@ def _maintain_model(
         it.x, -it.g, problem.w, problem.tau
     )
     if not (same_face and cone_ok):
-        return None, None, None
-    s, y = last_sy
-    if model is None or model_face != face:
-        h0 = bb_step(s, y, options.alpha_min, options.alpha_max)
-        model = LbfgsModel(options.memory, h0, options.curvature_eps)
+        return None, None
+    if model is None:
+        model = LbfgsModel(MEMORY, bb_step(s, y, ALPHA_MIN, ALPHA_MAX))
         basis = _face_basis_or_identity(face, problem)
-        model_face = face
     model.update(_reduce(basis, s), _reduce(basis, y))
-    return model, basis, model_face
+    return model, basis

@@ -81,6 +81,20 @@ def test_face_of_errors():
         face_of(np.zeros(2), np.ones(2), 0.0)
     with pytest.raises(InfeasiblePointError):
         face_of(np.array([2.0, 0.0]), np.ones(2), 1.0)
+    with pytest.raises(InfeasiblePointError):
+        face_of(np.array([np.nan, 0.0]), np.ones(2), 1.0)
+
+
+def test_face_signs_are_an_int8_array():
+    face = face_of(np.array([0.25, 0.0, -0.75]), np.ones(3), 1.0)
+    assert face.signs.dtype == np.int8
+    assert face.signs.tolist() == [1, 0, -1]
+    assert face.support.tolist() == [0, 2]
+    assert face.dim == 1
+    assert face == FaceId("proper", (1, 0, -1))
+    assert face != FaceId("proper", (1, 0, 1))
+    assert face != FaceId("interior")
+    assert FaceId("interior") == FaceId("interior")
 
 
 def test_cone_examples():

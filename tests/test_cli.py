@@ -156,6 +156,10 @@ def test_bench_bad_config(tmp_path):
     assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
     cfg.write_text("not json")
     assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    # A one-row sphere walk cannot step; it used to hang.
+    cfg.write_text(json.dumps({"kind": "sphere_walk", "m": 1, "n": 3,
+                               "ks": [1], "instances": 1}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
 
 
 def test_arc_audit(capsys):
@@ -169,6 +173,9 @@ def test_arc_audit(capsys):
 def test_gen_invalid_spec(tmp_path):
     code = main(["gen", "--out", str(tmp_path / "x"), "--gamma", "3.0",
                  "--kind", "sphere_walk"])
+    assert code == EXIT_BAD_INPUT
+    code = main(["gen", "--out", str(tmp_path / "x"), "--kind", "sphere_walk",
+                 "--m", "1", "--n", "3", "--k", "1"])
     assert code == EXIT_BAD_INPUT
 
 

@@ -121,6 +121,37 @@ def test_optimal_lambda_matches_grid_oracle():
         assert lam == pytest.approx(grid_lambda(z, w, tau, mu), abs=1e-8)
 
 
+def _loop_lambda(z, w, tau, mu):
+    # Breakpoint-by-breakpoint scan: the reference for the array form.
+    t = z / w
+    order = np.argsort(t)
+    t = t[order]
+    swz = np.concatenate([[0.0], np.cumsum((w * z)[order])])
+    sw2 = np.concatenate([[0.0], np.cumsum((w * w)[order])])
+
+    def deriv(lam, k):
+        return tau - ((swz[-1] - swz[k]) - lam * (sw2[-1] - sw2[k])) / mu
+
+    if deriv(0.0, 0) >= 0:
+        return 0.0
+    for k in range(len(t)):
+        if deriv(t[k], k) >= 0:
+            return float(((swz[-1] - swz[k]) - mu * tau) / (sw2[-1] - sw2[k]))
+    return float(t[-1])
+
+
+def test_optimal_lambda_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        z = np.abs(rng.normal(size=n)) * float(rng.choice([0.01, 1.0, 100.0]))
+        z[rng.random(n) < 0.2] = 0.0
+        w = rng.uniform(0.3, 3.0, size=n)
+        mu = float(rng.choice([1e-1, 1e-3, 1e-6]))
+        tau = float(rng.uniform(0.0, 2.0) * float(w @ z) / mu)
+        assert optimal_dual_lambda(z, w, tau, mu) == _loop_lambda(z, w, tau, mu)
+
+
 def test_optimal_lambda_stationarity():
     rng = np.random.default_rng(4)
     for _ in range(40):

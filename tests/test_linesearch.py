@@ -5,6 +5,7 @@ from lassokit import solver as solver_module
 from lassokit.arc import enumerate_arc
 from lassokit.ball import project
 from lassokit.linesearch import (
+    MAX_BACKTRACKS,
     RECOMPUTE_EVERY,
     HistoryBuffer,
     UnboundedRayError,
@@ -125,7 +126,7 @@ def test_backtrack_stationary_at_clamp_optimum():
     it = evaluate(p, np.array([1.0]))
     h = HistoryBuffer(10)
     h.push(it.f)
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h, SolverOptions())
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
     assert res.status == "stationary"
 
 
@@ -134,7 +135,7 @@ def test_backtrack_accepts_descent():
     it = evaluate(p, np.zeros(1))
     h = HistoryBuffer(10)
     h.push(it.f)
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h, SolverOptions())
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
     assert res.status == "accepted"
     assert res.iterate.f < it.f
     assert abs(res.iterate.x[0]) <= 1.0 + 1e-12
@@ -145,26 +146,24 @@ def test_backtrack_exhausts_budget():
     it = evaluate(p, np.zeros(1))
     h = HistoryBuffer(10)
     h.push(-10.0)  # unattainable target forces every trial to fail
-    res = nonmonotone_armijo_backtrack(
-        p, it, 1.0, h, SolverOptions(max_backtracks=5)
-    )
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
     assert res.status == "failed"
+    assert res.trials == MAX_BACKTRACKS
 
 
 def test_face_wolfe_search_cases():
     p = _clamp_problem(tau=10.0)
     it = evaluate(p, np.zeros(1))
     d = np.array([1.0])
-    opts = SolverOptions()
-    res = face_wolfe_search(p, it, d, np.inf, opts)
+    res = face_wolfe_search(p, it, d, np.inf)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(2.0)  # unconstrained minimizer
-    res = face_wolfe_search(p, it, d, 1.0, opts)
+    res = face_wolfe_search(p, it, d, 1.0)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(1.0)  # capped inside the window
-    res = face_wolfe_search(p, it, d, 0.05, opts)
+    res = face_wolfe_search(p, it, d, 0.05)
     assert res.status == "failed"  # cap below the curvature threshold
-    assert face_wolfe_search(p, it, -d, np.inf, opts).status == "failed"
+    assert face_wolfe_search(p, it, -d, np.inf).status == "failed"
 
 
 def _traj_setup(rng, tau):
@@ -175,8 +174,7 @@ def _traj_setup(rng, tau):
     arc = enumerate_arc(x, -it.g, p.w, tau)
     h = HistoryBuffer(10)
     h.push(it.f)
-    opts = SolverOptions(line_search_mode="trajectory")
-    return p, it, arc, h, opts
+    return p, it, arc, h
 
 
 def test_trajectory_search_stops_at_first_local_minimum():
@@ -185,8 +183,8 @@ def test_trajectory_search_stops_at_first_local_minimum():
     rng = np.random.default_rng(2)
     checked = 0
     for _ in range(10):
-        p, it, arc, h, opts = _traj_setup(rng, tau=1.0)
-        res = trajectory_search(p, it, arc, h, opts)
+        p, it, arc, h = _traj_setup(rng, tau=1.0)
+        res = trajectory_search(p, it, arc, h)
         if res.status != "accepted":
             continue
         f = res.iterate.f
@@ -202,8 +200,8 @@ def test_trajectory_search_stops_at_first_local_minimum():
 def test_trajectory_interior_segment_is_exact_ray_minimizer():
     rng = np.random.default_rng(3)
     # Huge radius: the whole trajectory is the unprojected ray.
-    p, it, arc, h, opts = _traj_setup(rng, tau=1e6)
-    res = trajectory_search(p, it, arc, h, opts)
+    p, it, arc, h = _traj_setup(rng, tau=1e6)
+    res = trajectory_search(p, it, arc, h)
     assert res.status == "accepted"
     a_star = alpha_opt(p, it, -it.g)
     assert res.alpha == pytest.approx(a_star, rel=1e-10)
@@ -227,9 +225,8 @@ def test_trajectory_search_forms_ray_product_once():
     arc = enumerate_arc(it.x, -it.g, p.w, p.tau)
     h = HistoryBuffer(10)
     h.push(it.f)
-    opts = SolverOptions(line_search_mode="trajectory")
     forwards[0] = 0
-    res = trajectory_search(p, it, arc, h, opts)
+    res = trajectory_search(p, it, arc, h)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(1.0)
     assert [seg.inside for seg in arc.segments[:5]] == [True] * 5
@@ -241,8 +238,8 @@ def test_trajectory_search_walks_only_what_it_reads(monkeypatch):
     # arc unwalked.
     walked = []
 
-    def spy(problem, it, arc, history, options):
-        res = trajectory_search(problem, it, arc, history, options)
+    def spy(problem, it, arc, history):
+        res = trajectory_search(problem, it, arc, history)
         walked.append((len(arc._segments), len(arc.segments)))
         return res
 

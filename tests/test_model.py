@@ -130,12 +130,4 @@ def test_convexity_witness():
 def test_solver_options_validation():
     SolverOptions()  # defaults are valid
     with pytest.raises(ValueError):
-        SolverOptions(alpha_min=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(suff_decrease=1.5)
-    with pytest.raises(ValueError):
-        SolverOptions(wolfe_curv=0.4)
-    with pytest.raises(ValueError):
-        SolverOptions(history_len=0)
-    with pytest.raises(ValueError):
         SolverOptions(line_search_mode="bogus")

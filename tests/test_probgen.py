@@ -47,6 +47,17 @@ def test_sphere_walk_invalid_gamma():
         gen_sphere_walk(10, 5, 2.5, make_rng(0))
 
 
+def test_sphere_walk_needs_two_rows():
+    # In one dimension no direction is orthogonal to the current column, so
+    # the walk cannot take a step.
+    with pytest.raises(ValueError):
+        gen_sphere_walk(1, 3, 0.5, make_rng(0))
+    with pytest.raises(ValueError):
+        GeneratorSpec(m=1, n=3, kind="sphere_walk", gamma=0.5, k=1)
+    a = gen_sphere_walk(2, 3, 0.5, make_rng(0))
+    assert np.max(np.abs(np.linalg.norm(a, axis=0) - 1.0)) <= 1e-12
+
+
 def test_sparse_signal_distributions():
     rng = make_rng(3)
     x = gen_sparse_signal(50, 7, "pm_one", rng)
