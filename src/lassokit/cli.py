@@ -203,10 +203,9 @@ def cmd_bench(args) -> int:
         solvers = list(cfg.get("solvers", ["spg", "hybrid"]))
         tols = [float(t) for t in cfg.get("tols", [1e-6])]
         instances = int(cfg.get("instances", 5))
-        GeneratorSpec(**base, k=0)  # checks the kind, m and gamma
-        for d in dists:
-            if d not in SIGNAL_DISTS:
-                raise ValueError(f"unknown signal distribution {d!r}")
+        for k in ks:
+            for d in dists:
+                GeneratorSpec(**base, k=k, dist=d)  # every spec the run builds
         for s in solvers:
             if s not in ("spg", "hybrid"):
                 raise ValueError(f"unknown solver {s!r}")

@@ -60,7 +60,11 @@ def bb_step(s: NDArray, y: NDArray, alpha_min: float, alpha_max: float) -> float
 def alpha_opt(problem: LassoProblem, iterate: Iterate, d: NDArray) -> float:
     """Exact minimizer of the quadratic objective along x + alpha*d."""
     ray = RayObjective(problem, iterate.x, d, r=iterate.r)
-    gd = float(iterate.g @ d)
+    return _ray_minimizer(ray, float(iterate.g @ d))
+
+
+def _ray_minimizer(ray: RayObjective, gd: float) -> float:
+    """Minimizer of the ray's quadratic, whose slope at 0 is gd = g'd."""
     denom = 2.0 * ray.c2
     if denom <= 0:
         if gd < 0:
@@ -137,13 +141,17 @@ def face_wolfe_search(
 
     The unconstrained minimizer always satisfies both conditions; when it
     exceeds the cap, the cap itself is taken if it still lies inside the
-    Wolfe window, otherwise the search reports failure.
+    Wolfe window, otherwise the search reports failure.  The accepted
+    iterate's residual is r + a*A d, reusing the step length's product, so
+    a step costs one forward product; it drifts by rounding over a run of
+    such steps, and the solver recomputes it if it returns at one.
     """
     gd = float(iterate.g @ d)
     if gd >= 0:
         return SearchResult("failed")
+    ray = RayObjective(problem, iterate.x, d, r=iterate.r)
     try:
-        a_star = alpha_opt(problem, iterate, d)
+        a_star = _ray_minimizer(ray, gd)
     except UnboundedRayError:
         return SearchResult("failed")
     lo = (1.0 - WOLFE_CURV) * a_star
@@ -155,8 +163,8 @@ def face_wolfe_search(
             return SearchResult("failed")
     if a <= 0 or not np.isfinite(a):
         return SearchResult("failed")
-    xa = iterate.x + a * d
-    return SearchResult("accepted", evaluate(problem, xa), a, 1)
+    it = evaluate(problem, iterate.x + a * d, r=iterate.r + a * ray.ad)
+    return SearchResult("accepted", it, a, 1)
 
 
 class _ArcProducts:

@@ -7,6 +7,7 @@ over the weighted one-norm ball of radius tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,13 +123,22 @@ class LassoProblem:
 
 @dataclass
 class Iterate:
-    """Point with cached residual r = Ax - b, gradient, value, and face."""
+    """Point with cached residual r = Ax - b, gradient and value.
+
+    Its face is classified on first read: the projected-gradient method never
+    reads one.
+    """
 
     x: NDArray
     r: NDArray
     g: NDArray
     f: float
-    face: FaceId | None
+    problem: LassoProblem
+
+    @cached_property
+    def face(self) -> FaceId | None:
+        p = self.problem
+        return face_of(self.x, p.w, p.tau) if p.tau > 0 else None
 
 
 def objective_value(problem: LassoProblem, x: NDArray,
@@ -143,23 +153,26 @@ def objective_value(problem: LassoProblem, x: NDArray,
 
 
 def evaluate(problem: LassoProblem, x: NDArray, r: NDArray | None = None) -> Iterate:
-    """Full iterate at x: residual, gradient A'r + mu*x + c, value, face."""
+    """Full iterate at x: residual, gradient A'r + mu*x + c and value."""
     x = np.asarray(x, dtype=float)
     f, r = objective_value(problem, x, r)
     g = problem.op.apply_adjoint(r) + problem.c
     if problem.mu > 0:
         g = g + problem.mu * x
-    face = face_of(x, problem.w, problem.tau) if problem.tau > 0 else None
-    return Iterate(x=x, r=r, g=g, f=f, face=face)
+    return Iterate(x=x, r=r, g=g, f=f, problem=problem)
 
 
 class RayObjective:
-    """Objective along x + alpha*d, O(1) per alpha after one forward product."""
+    """Objective along x + alpha*d, O(1) per alpha after one forward product.
+
+    `ad` keeps that product A d, so the residual at x + alpha*d is
+    r + alpha*ad.
+    """
 
     def __init__(self, problem: LassoProblem, x: NDArray, d: NDArray,
                  r: NDArray | None = None):
         self.c0, r = objective_value(problem, x, r)
-        ad = problem.op.apply(d)
+        self.ad = ad = problem.op.apply(d)
         mu = problem.mu
         self.c2 = 0.5 * (float(ad @ ad) + mu * float(d @ d))
         self.c1 = float(r @ ad) + mu * float(x @ d) + float(problem.c @ d)

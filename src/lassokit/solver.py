@@ -30,7 +30,7 @@ from .linesearch import (
     nonmonotone_armijo_backtrack,
     trajectory_search,
 )
-from .model import Iterate, LassoProblem, SolverOptions, evaluate
+from .model import Iterate, LassoProblem, SolverOptions, evaluate, objective_value
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITER_LIMIT = "iter_limit"
@@ -176,6 +176,7 @@ def _solve(
     history.push(it.f)
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
+    r_updated = False  # it.r came from a QN step's update, not from A x - b
     status = STATUS_ITER_LIMIT
 
     def record(i: int, kind: str) -> None:
@@ -219,7 +220,7 @@ def _solve(
                     history.reset(it.f)
                     qn_steps += 1
                     kind = "qn"
-                    stepped = True
+                    stepped = r_updated = True
             if not stepped:
                 model = None  # model step rejected; fall back to gradient
 
@@ -238,6 +239,7 @@ def _solve(
             it = res.iterate
             history.push(it.f)
             pg_steps += 1
+            r_updated = False
 
         s = it.x - prev.x
         y = it.g - prev.g
@@ -252,8 +254,10 @@ def _solve(
         if hybrid:
             model, basis = _maintain_model(problem, prev, it, model, basis, s, y)
 
+    # A run of QN steps drifts r by rounding; report the exact f and r at x.
+    f, r = objective_value(problem, it.x) if r_updated else (it.f, it.r)
     return SolverReport(
-        x=it.x, r=it.r, f=it.f, gap=oracle.gap, lam=oracle.lambda_best,
+        x=it.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start, trace=trace,
     )
@@ -274,14 +278,13 @@ def _maintain_model(
     face stays the same.
     """
     face = it.face
-    same_face = prev.face == face
+    if prev.face != face:
+        return None, None
     usable = face is not None and (
         face.kind == "interior" or len(face.support) >= 2
     )
-    cone_ok = usable and in_self_projection_cone(
-        it.x, -it.g, problem.w, problem.tau
-    )
-    if not (same_face and cone_ok):
+    if not (usable and in_self_projection_cone(
+            it.x, -it.g, problem.w, problem.tau)):
         return None, None
     if model is None:
         model = LbfgsModel(MEMORY, bb_step(s, y, ALPHA_MIN, ALPHA_MAX))

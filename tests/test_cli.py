@@ -160,6 +160,9 @@ def test_bench_bad_config(tmp_path):
     cfg.write_text(json.dumps({"kind": "sphere_walk", "m": 1, "n": 3,
                                "ks": [1], "instances": 1}))
     assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    # A sparsity above n used to die in the run with a traceback.
+    cfg.write_text(json.dumps({"m": 8, "n": 10, "ks": [20], "instances": 1}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
 
 
 def test_arc_audit(capsys):

@@ -166,6 +166,32 @@ def test_face_wolfe_search_cases():
     assert face_wolfe_search(p, it, -d, np.inf).status == "failed"
 
 
+def test_face_wolfe_search_reuses_ray_product():
+    # The accepted iterate's residual is r + a*A d: one forward product (A d)
+    # and one adjoint (its gradient) per step, with r still A x - b.
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(12, 20))
+    counts = {"fwd": 0, "adj": 0}
+
+    def forward(x):
+        counts["fwd"] += 1
+        return a @ x
+
+    def adjoint(y):
+        counts["adj"] += 1
+        return a.T @ y
+
+    p = LassoProblem(op=LinearOperator(a.shape, forward, adjoint),
+                     b=rng.normal(size=12), tau=1e3)
+    it = evaluate(p, 0.1 * rng.normal(size=20))
+    counts.update(fwd=0, adj=0)
+    res = face_wolfe_search(p, it, -it.g, np.inf)
+    assert res.status == "accepted"
+    assert counts == {"fwd": 1, "adj": 1}
+    exact = a @ res.iterate.x - p.b
+    assert np.linalg.norm(res.iterate.r - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
 def _traj_setup(rng, tau):
     p = LassoProblem(op=DenseOperator(rng.normal(size=(8, 5))),
                      b=rng.normal(size=8), tau=tau)

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import dense_bfgs_matrix, qp_oracle
-from lassokit.ball import weighted_l1_norm
+from lassokit import model as model_module
+from lassokit import solver as solver_module
+from lassokit.ball import face_of, in_self_projection_cone, weighted_l1_norm
 from lassokit.duality import StoppingOracle
-from lassokit.model import DenseOperator, LassoProblem, LinearOperator, SolverOptions, evaluate
+from lassokit.model import (
+    DenseOperator,
+    LassoProblem,
+    LinearOperator,
+    SolverOptions,
+    evaluate,
+    objective_value,
+)
+from lassokit.probgen import GeneratorSpec, gen_instance
 from lassokit.solver import (
     STATUS_ITER_LIMIT,
     STATUS_OPTIMAL,
@@ -101,31 +111,119 @@ def test_solution_feasible_and_solvers_agree():
         assert rh.qn_steps > 0
 
 
-def test_one_adjoint_product_per_iteration():
-    # The gap check reads A'(b - Ax) off the iterate's gradient, so the
-    # only adjoint products are those of the evaluations.
-    rng = np.random.default_rng(8)
+def _counted_gaussian(seed):
+    """Gaussian 32x64 problem whose operator counts its products."""
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(32, 64))
     a /= np.linalg.norm(a, axis=0)
     x0 = np.zeros(64)
     x0[rng.choice(64, 6, replace=False)] = rng.choice([-1.0, 1.0], 6)
-    adjoints = [0]
+    counts = {"fwd": 0, "adj": 0}
+
+    def forward(x):
+        counts["fwd"] += 1
+        return a @ x
 
     def adjoint(y):
-        adjoints[0] += 1
+        counts["adj"] += 1
         return a.T @ y
 
-    op = LinearOperator(a.shape, lambda x: a @ x, adjoint)
+    op = LinearOperator(a.shape, forward, adjoint)
     p = LassoProblem(op=op, b=a @ x0, tau=0.99 * float(np.sum(np.abs(x0))))
+    return a, p, counts
+
+
+def test_one_adjoint_product_per_iteration():
+    # The gap check reads A'(b - Ax) off the iterate's gradient, so the
+    # only adjoint products are those of the evaluations.
+    _, p, counts = _counted_gaussian(8)
     report = spg_solve(p)
     assert report.status == STATUS_OPTIMAL
     assert report.iterations > 0
-    assert adjoints[0] == report.iterations + 1
+    assert counts["adj"] == report.iterations + 1
 
     it = evaluate(p, report.x)
-    before = adjoints[0]
+    before = counts["adj"]
     StoppingOracle(p, 1e-6).update(it)
-    assert adjoints[0] == before
+    assert counts["adj"] == before
+
+
+def test_hybrid_products_and_exact_report_after_qn_steps(monkeypatch):
+    # A QN step reuses A d for its residual, r + a*A d, so it costs one
+    # forward product.  That residual drifts by rounding over a run of QN
+    # steps; a solve that ends on one recomputes f and r from x.
+    a, p, counts = _counted_gaussian(8)
+    searches = []  # (kind, status, trials) of every line search
+
+    def spy(kind, search):
+        def run(*args):
+            res = search(*args)
+            searches.append((kind, res.status, res.trials))
+            return res
+        return run
+
+    monkeypatch.setattr(solver_module, "face_wolfe_search",
+                        spy("qn", solver_module.face_wolfe_search))
+    monkeypatch.setattr(solver_module, "nonmonotone_armijo_backtrack",
+                        spy("pg", solver_module.nonmonotone_armijo_backtrack))
+    report = hybrid_solve(p)
+    fwd, adj = counts["fwd"], counts["adj"]
+    accepted = [kind for kind, status, _ in searches if status == "accepted"]
+    assert report.status == STATUS_OPTIMAL
+    assert accepted[-2:] == ["qn", "qn"]
+    assert np.array_equal(report.r, a @ report.x - p.b)
+    assert report.f == objective_value(p, report.x)[0]
+    # The start point, one per backtracking trial, one per QN search and
+    # the recompute at the end; one adjoint per accepted point.
+    trials = sum(t for kind, _, t in searches if kind == "pg")
+    qn_searches = sum(kind == "qn" for kind, _, _ in searches)
+    assert fwd == 1 + trials + qn_searches + 1
+    assert adj == 1 + len(accepted)
+
+
+def test_spg_never_classifies_faces(monkeypatch):
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return face_of(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "face_of", counted)
+    _, p, _ = _counted_gaussian(8)
+    report = spg_solve(p)
+    assert report.iterations > 0
+    assert calls[0] == 0
+    report = hybrid_solve(p)  # classifies each accepted point at most once
+    assert 0 < calls[0] <= report.iterations + 1
+
+
+def test_cone_test_runs_only_on_a_kept_face(monkeypatch):
+    cone_calls = [0]
+    decisions = []  # (face kept, cone tests made) per model decision
+
+    def cone(*args, **kwargs):
+        cone_calls[0] += 1
+        return in_self_projection_cone(*args, **kwargs)
+
+    maintain = solver_module._maintain_model
+
+    def spy(problem, prev, it, *rest):
+        before = cone_calls[0]
+        out = maintain(problem, prev, it, *rest)
+        decisions.append((prev.face == it.face, cone_calls[0] - before))
+        return out
+
+    monkeypatch.setattr(solver_module, "in_self_projection_cone", cone)
+    monkeypatch.setattr(solver_module, "_maintain_model", spy)
+    inst = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
+                                      gamma=0.1, k=10), 1)
+    hybrid_solve(inst.problem(), options=SolverOptions(max_iter=300))
+    kept = [n for same, n in decisions if same]
+    changed = [n for same, n in decisions if not same]
+    assert kept and changed
+    assert set(changed) == {0}
+    assert set(kept) <= {0, 1} and 1 in kept
+    assert sum(kept) == cone_calls[0]
 
 
 def test_trajectory_mode_solves():
