@@ -61,7 +61,13 @@ def project(u: NDArray, w: NDArray, tau: float) -> tuple[NDArray, float]:
     ks = np.nonzero((lam_k < t) & (lam_k >= t_next))[0]
     k = int(ks[0]) if ks.size else len(t) - 1
     lam = max(float(lam_k[k]), 0.0)
-    return prox_weighted_l1(u, lam, w), lam
+    x = prox_weighted_l1(u, lam, w)
+    # (cwu - tau)/cw2 cancels when |u| >> tau; pull a point left outside
+    # the slack back onto the sphere.
+    norm = weighted_l1_norm(x, w)
+    if norm > tau * (1.0 + FEAS_TOL):
+        x *= tau / norm
+    return x, lam
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,6 +66,7 @@ def _emit(record: dict) -> None:
 def cmd_solve(args) -> int:
     try:
         problem, data = lio.problem_from_manifest(args.manifest)
+        options = _options_from_args(args)
     except (OSError, lio.ManifestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -73,7 +74,7 @@ def cmd_solve(args) -> int:
         print("error: manifest fixes sigma; use the root command", file=sys.stderr)
         return EXIT_BAD_INPUT
     solve = hybrid_solve if args.solver == "hybrid" else spg_solve
-    report = solve(problem, options=_options_from_args(args))
+    report = solve(problem, options=options)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             wr = csv.writer(fh)
@@ -108,14 +109,15 @@ def cmd_root(args) -> int:
         problem = LassoProblem(op=DenseOperator(data["A"]), b=data["b"],
                                tau=0.0, w=data.get("w"), mu=data["mu"],
                                c=data.get("c"))
+        options = _options_from_args(args)
     except (OSError, lio.ManifestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if "sigma" not in data:
         print("error: manifest fixes tau; use the solve command", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = solve_bpdn(problem, data["sigma"],
-                        options=_options_from_args(args), solver=args.solver)
+    report = solve_bpdn(problem, data["sigma"], options=options,
+                        solver=args.solver)
     if args.out:
         lio.write_vector(args.out, report.x)
     _emit({
@@ -209,6 +211,10 @@ def cmd_bench(args) -> int:
         for s in solvers:
             if s not in ("spg", "hybrid"):
                 raise ValueError(f"unknown solver {s!r}")
+        for t in tols:
+            SolverOptions(opt_tol=t)
+        if instances < 1 and ks and dists and solvers and tols:
+            raise ValueError(f"instances must be at least 1, got {instances}")
     except (TypeError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,5 +1,5 @@
-"""Line searches: nonmonotone Armijo backtracking over the projected-gradient
-path, exact Wolfe windows for quadratic objectives on a face, and a search
+"""Line searches: nonmonotone Armijo backtracking along the projected-gradient
+segment, exact Wolfe windows for quadratic objectives on a face, and a search
 along the full projection trajectory."""
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .model import Iterate, LassoProblem, RayObjective, evaluate, objective_valu
 RECOMPUTE_EVERY = 50
 SUFF_DECREASE = 1e-4  # Armijo gamma
 BACKTRACK_FACTOR = 0.5
+# A backtracking trial takes the segment minimizer when it lies in
+# [INTERP_LO*lam, INTERP_HI*lam], and lam*BACKTRACK_FACTOR otherwise.
+INTERP_LO = 0.1
+INTERP_HI = 0.9
 MAX_BACKTRACKS = 50
 WOLFE_CURV = 0.9  # gamma_2
 
@@ -97,13 +101,17 @@ class SearchResult:
 
 
 def _accept(problem: LassoProblem, iterate: Iterate, xa: NDArray, alpha: float,
-            fmax: float, trials: int) -> SearchResult | None:
+            fmax: float, trials: int,
+            ra: NDArray | None = None) -> SearchResult | None:
     """Nonmonotone test of the trial point xa: `stationary` for a zero-length
-    move, `accepted` when f(xa) <= fmax + gamma * g'(xa - x), else None."""
+    move, `accepted` when f(xa) <= fmax + gamma * g'(xa - x), else None.
+
+    ra is the residual A xa - b; it is formed here when not given.
+    """
     dx = xa - iterate.x
     if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
         return SearchResult("stationary", iterate, 0.0, trials)
-    fa, ra = objective_value(problem, xa)
+    fa, ra = objective_value(problem, xa, ra)
     if fa <= fmax + SUFF_DECREASE * float(iterate.g @ dx):
         return SearchResult("accepted", evaluate(problem, xa, r=ra), alpha, trials)
     return None
@@ -115,19 +123,37 @@ def nonmonotone_armijo_backtrack(
     alpha0: float,
     history: HistoryBuffer,
 ) -> SearchResult:
-    """Backtrack along the projected path x(a) = P(x - a*g).
+    """Backtrack along the segment from x to x1 = P(x - alpha0*g).
 
-    Accepts the first trial with f(x(a)) <= max(history) + gamma * g'(x(a)-x).
-    A zero-length accepted move reports `stationary`.
+    Trials are x + lam*d with d = x1 - x, starting at lam = 1, and the first
+    with f <= max(history) + gamma * g'(lam*d) is accepted; `alpha` reports
+    its lam.  f is an exact quadratic along the segment, so after a
+    rejection the next lam is the segment minimizer when it lies in the
+    safeguard window, else lam*BACKTRACK_FACTOR.  The search projects once
+    and forms one forward product, A x1; a trial's residual is r + lam*A d
+    with A d = (A x1 - b) - r.  A zero-length accepted move reports
+    `stationary`.
     """
     fmax = history.maximum()
-    a = alpha0
-    for k in range(MAX_BACKTRACKS):
-        xa, _ = project(iterate.x - a * iterate.g, problem.w, problem.tau)
-        res = _accept(problem, iterate, xa, a, fmax, k + 1)
+    x, r, g = iterate.x, iterate.r, iterate.g
+    x1, _ = project(x - alpha0 * g, problem.w, problem.tau)
+    r1 = problem.op.apply(x1) - problem.b
+    res = _accept(problem, iterate, x1, 1.0, fmax, 1, r1)
+    if res is not None:
+        return res
+    d = x1 - x
+    ad = r1 - r
+    c2 = 0.5 * (float(ad @ ad) + problem.mu * float(d @ d))
+    lam_star = -float(g @ d) / (2.0 * c2) if c2 > 0 else np.inf
+    lam = 1.0
+    for k in range(1, MAX_BACKTRACKS):
+        if INTERP_LO * lam <= lam_star <= INTERP_HI * lam:
+            lam = lam_star
+        else:
+            lam *= BACKTRACK_FACTOR
+        res = _accept(problem, iterate, x + lam * d, lam, fmax, k + 1, r + lam * ad)
         if res is not None:
             return res
-        a *= BACKTRACK_FACTOR
     return SearchResult("failed", None, 0.0, MAX_BACKTRACKS)
 
 

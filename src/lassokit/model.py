@@ -198,5 +198,7 @@ class SolverOptions:
     trace: bool = False
 
     def __post_init__(self):
+        if not self.opt_tol >= 0:  # also rejects NaN, which no gap satisfies
+            raise ValueError(f"opt_tol must be nonnegative, got {self.opt_tol!r}")
         if self.line_search_mode not in ("backtracking", "trajectory"):
             raise ValueError(f"unknown line_search_mode {self.line_search_mode!r}")

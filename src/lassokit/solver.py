@@ -1,10 +1,10 @@
 """Projected-gradient and hybrid face/quasi-Newton solvers.
 
-The projected-gradient method takes Barzilai-Borwein steps along the
-projection path with a nonmonotone acceptance test.  The hybrid method
-additionally maintains a limited-memory quasi-Newton model in the
-coordinates of the current face whenever consecutive iterates share a face
-and the negative gradient points into that face's self-projection cone;
+The projected-gradient method takes Barzilai-Borwein steps, backtracking
+along the projected segment with a nonmonotone acceptance test.  The
+hybrid method additionally maintains a limited-memory quasi-Newton model in
+the coordinates of the current face whenever consecutive iterates share a
+face and the negative gradient points into that face's self-projection cone;
 model steps stay on the face (never growing its support) and use an exact
 Wolfe step for the quadratic objective.
 """
@@ -176,7 +176,7 @@ def _solve(
     history.push(it.f)
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
-    r_updated = False  # it.r came from a QN step's update, not from A x - b
+    r_updated = False  # it.r came from a step's update r + a*A d, not from A x - b
     status = STATUS_ITER_LIMIT
 
     def record(i: int, kind: str) -> None:
@@ -239,7 +239,7 @@ def _solve(
             it = res.iterate
             history.push(it.f)
             pg_steps += 1
-            r_updated = False
+            r_updated = res.trials > 1  # a backtracked trial's r is r + lam*A d
 
         s = it.x - prev.x
         y = it.g - prev.g
@@ -254,7 +254,7 @@ def _solve(
         if hybrid:
             model, basis = _maintain_model(problem, prev, it, model, basis, s, y)
 
-    # A run of QN steps drifts r by rounding; report the exact f and r at x.
+    # Updated residuals drift by rounding; report the exact f and r at x.
     f, r = objective_value(problem, it.x) if r_updated else (it.f, it.r)
     return SolverReport(
         x=it.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,

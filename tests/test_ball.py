@@ -3,6 +3,7 @@ import pytest
 
 from conftest import bisect_project
 from lassokit.ball import (
+    FEAS_TOL,
     FaceId,
     InfeasiblePointError,
     face_of,
@@ -64,6 +65,20 @@ def test_project_matches_bisection_oracle():
         assert np.allclose(x, x_ref, atol=1e-8)
         assert lam == pytest.approx(lam_ref, abs=1e-8)
         assert w @ np.abs(x) <= tau * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_project_far_outside_stays_in_ball(unit):
+    # The threshold (sum w|u| - tau)/sum w^2 cancels when |u| >> tau; the
+    # solver projects x - 1e10*g whenever its step clamps at the maximum.
+    rng = np.random.default_rng(11)
+    for e in range(13):
+        for _ in range(20):
+            n = int(rng.integers(1, 301))
+            w = np.ones(n) if unit else rng.uniform(0.2, 3.0, size=n)
+            tau = float(rng.uniform(0.5, 2.0))
+            x, _ = project(rng.normal(size=n) * 10.0**e * tau, w, tau)
+            assert weighted_l1_norm(x, w) <= tau * (1.0 + FEAS_TOL)
 
 
 def test_face_of_interior_and_vertex():

@@ -163,6 +163,24 @@ def test_bench_bad_config(tmp_path):
     # A sparsity above n used to die in the run with a traceback.
     cfg.write_text(json.dumps({"m": 8, "n": 10, "ks": [20], "instances": 1}))
     assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    # So did a negative tolerance, and no instances with a non-empty sweep.
+    cfg.write_text(json.dumps({"m": 8, "n": 10, "ks": [2], "instances": 1,
+                               "tols": [-1]}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    for instances in (0, -3):
+        cfg.write_text(json.dumps({"m": 8, "n": 10, "ks": [2],
+                                   "instances": instances}))
+        assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("command, mode", [("solve", "tau"), ("root", "sigma")])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tolerance_exits_bad_input(tmp_path, capsys, command, mode, tol):
+    out = _gen(tmp_path, "--mode", mode)
+    capsys.readouterr()
+    code = main([command, "--manifest", str(out / "manifest.txt"), "--tol", tol])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_arc_audit(capsys):

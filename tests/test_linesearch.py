@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from lassokit import linesearch as linesearch_module
 from lassokit import solver as solver_module
 from lassokit.arc import enumerate_arc
 from lassokit.ball import project
 from lassokit.linesearch import (
     MAX_BACKTRACKS,
     RECOMPUTE_EVERY,
+    SUFF_DECREASE,
     HistoryBuffer,
     UnboundedRayError,
     alpha_opt,
@@ -149,6 +151,72 @@ def test_backtrack_exhausts_budget():
     res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
     assert res.status == "failed"
     assert res.trials == MAX_BACKTRACKS
+
+
+def _segment_setup():
+    # A search whose first trial x1 = P(x - g) is rejected and whose segment
+    # minimizer lam* = 0.38 lies in the safeguard window [0.1, 0.9].
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(12, 20))
+    counts = {"fwd": 0, "adj": 0}
+
+    def forward(x):
+        counts["fwd"] += 1
+        return a @ x
+
+    def adjoint(y):
+        counts["adj"] += 1
+        return a.T @ y
+
+    p = LassoProblem(op=LinearOperator(a.shape, forward, adjoint),
+                     b=rng.normal(size=12), tau=1.0, mu=0.1)
+    x, _ = project(rng.normal(size=20), p.w, p.tau)
+    it = evaluate(p, x)
+    h = HistoryBuffer(10)
+    h.push(it.f)
+    return a, p, it, h, counts
+
+
+def test_backtrack_projects_once_with_one_forward_product(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return project(*args)
+
+    monkeypatch.setattr(linesearch_module, "project", counted)
+    _, p, it, h, counts = _segment_setup()
+    counts.update(fwd=0, adj=0)
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    assert res.status == "accepted" and res.trials == 2
+    assert calls[0] == 1
+    assert counts == {"fwd": 1, "adj": 1}  # A x1, then the accepted gradient
+    # A search that exhausts its budget still projects once.
+    calls[0] = 0
+    clamp = _clamp_problem()
+    h.reset(-10.0)
+    res = nonmonotone_armijo_backtrack(clamp, evaluate(clamp, np.zeros(1)), 1.0, h)
+    assert res.trials == MAX_BACKTRACKS
+    assert calls[0] == 1
+
+
+def test_backtrack_takes_the_segment_minimizer():
+    a, p, it, h, _ = _segment_setup()
+    x1, _ = project(it.x - it.g, p.w, p.tau)
+    d = x1 - it.x
+    assert objective_value(p, x1)[0] > h.maximum() + SUFF_DECREASE * float(it.g @ d)
+    ad = a @ d
+    lam_star = -float(it.g @ d) / (float(ad @ ad) + p.mu * float(d @ d))
+    assert 0.1 <= lam_star <= 0.9
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    assert res.status == "accepted" and res.trials == 2
+    assert res.alpha == pytest.approx(lam_star, rel=1e-12)
+    f = res.iterate.f
+    sampled = min(objective_value(p, it.x + t * d)[0]
+                  for t in np.linspace(0.0, 1.0, 1000))
+    assert f <= sampled + 1e-12 * abs(sampled)
+    exact = a @ res.iterate.x - p.b
+    assert np.linalg.norm(res.iterate.r - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_face_wolfe_search_cases():

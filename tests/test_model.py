@@ -129,5 +129,10 @@ def test_convexity_witness():
 
 def test_solver_options_validation():
     SolverOptions()  # defaults are valid
+    SolverOptions(opt_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(line_search_mode="bogus")
+    # A NaN tolerance is never met and a negative one runs to max_iter.
+    for tol in (float("nan"), -1.0, -1e-12):
+        with pytest.raises(ValueError):
+            SolverOptions(opt_tol=tol)

@@ -4,7 +4,12 @@ import pytest
 from conftest import dense_bfgs_matrix, qp_oracle
 from lassokit import model as model_module
 from lassokit import solver as solver_module
-from lassokit.ball import face_of, in_self_projection_cone, weighted_l1_norm
+from lassokit.ball import (
+    FEAS_TOL,
+    face_of,
+    in_self_projection_cone,
+    weighted_l1_norm,
+)
 from lassokit.duality import StoppingOracle
 from lassokit.model import (
     DenseOperator,
@@ -82,15 +87,25 @@ def test_interior_optimum_uses_quasi_newton():
 
 def test_face_optimum_finishes_with_quasi_newton():
     # Ill-conditioned strictly convex 2-d quadratic whose constrained optimum
-    # sits at (0.75, 0.25), strictly inside a 1-face of the unit ball.
+    # sits at (0.75, 0.25), strictly inside a 1-face of the unit ball.  On
+    # that face the segment minimizer of a backtracked PG step is the optimum.
     p = LassoProblem(op=DenseOperator(np.diag([1.0, 6.0])),
                      b=np.array([1.25, 9.5 / 6.0]), tau=1.0)
     report = hybrid_solve(p, options=SolverOptions(trace=True))
     assert report.status == STATUS_OPTIMAL
     assert np.allclose(report.x, [0.75, 0.25], atol=1e-6)
     assert report.qn_steps > 0
+    # The 3-d analogue: the gradient at x* = (0.5, 0.3, 0.2) is -0.5 in every
+    # entry, so x* is the optimum, strictly inside a 2-face.
+    dg = np.array([1.0, 6.0, 20.0])
+    x_star = np.array([0.5, 0.3, 0.2])
+    p = LassoProblem(op=DenseOperator(np.diag(dg)),
+                     b=(dg**2 * x_star + 0.5) / dg, tau=1.0)
+    report = hybrid_solve(p, options=SolverOptions(trace=True))
+    assert report.status == STATUS_OPTIMAL
+    assert np.allclose(report.x, x_star, atol=1e-6)
     assert report.trace[-1].step_kind == "qn"  # converges with a model step
-    assert report.trace[-1].face_dim == 1
+    assert report.trace[-1].face_dim == 2
 
 
 def test_solution_feasible_and_solvers_agree():
@@ -150,8 +165,9 @@ def test_one_adjoint_product_per_iteration():
 
 def test_hybrid_products_and_exact_report_after_qn_steps(monkeypatch):
     # A QN step reuses A d for its residual, r + a*A d, so it costs one
-    # forward product.  That residual drifts by rounding over a run of QN
-    # steps; a solve that ends on one recomputes f and r from x.
+    # forward product, and a PG search costs one whatever its trials.  That
+    # residual drifts by rounding over a run of QN steps; a solve that ends
+    # on one recomputes f and r from x.
     a, p, counts = _counted_gaussian(8)
     searches = []  # (kind, status, trials) of every line search
 
@@ -173,12 +189,44 @@ def test_hybrid_products_and_exact_report_after_qn_steps(monkeypatch):
     assert accepted[-2:] == ["qn", "qn"]
     assert np.array_equal(report.r, a @ report.x - p.b)
     assert report.f == objective_value(p, report.x)[0]
-    # The start point, one per backtracking trial, one per QN search and
-    # the recompute at the end; one adjoint per accepted point.
-    trials = sum(t for kind, _, t in searches if kind == "pg")
+    # The start point, one per PG search (whatever its trials), one per QN
+    # search and the recompute at the end; one adjoint per accepted point.
+    pg_searches = sum(kind == "pg" for kind, _, _ in searches)
     qn_searches = sum(kind == "qn" for kind, _, _ in searches)
-    assert fwd == 1 + trials + qn_searches + 1
+    assert any(t > 1 for kind, _, t in searches if kind == "pg")
+    assert fwd == 1 + pg_searches + qn_searches + 1
     assert adj == 1 + len(accepted)
+
+
+def test_exact_report_after_backtracked_pg_step(monkeypatch):
+    # A PG step accepted after its first trial carries the residual
+    # r + lam*A d; a solve that ends on one recomputes f and r from x.
+    accepted = []  # trials of every accepted PG search
+
+    def spy(*args):
+        res = search(*args)
+        if res.status == "accepted":
+            accepted.append(res.trials)
+        return res
+
+    search = solver_module.nonmonotone_armijo_backtrack
+    monkeypatch.setattr(solver_module, "nonmonotone_armijo_backtrack", spy)
+    inst = gen_instance(GeneratorSpec(m=32, n=64, kind="sphere_walk",
+                                      gamma=0.1, k=6), 9)
+    p = inst.problem()
+    report = spg_solve(p)
+    assert report.pg_steps == len(accepted)
+    assert accepted[-1] > 1
+    assert np.array_equal(report.r, inst.a @ report.x - p.b)
+    assert report.f == objective_value(p, report.x)[0]
+
+
+def test_clamped_step_stays_in_the_ball():
+    # A BB step clamped at its maximum projects x - 1e10*g; the solve must
+    # stay within the feasibility slack with a zero tolerance.
+    p = gen_instance(GeneratorSpec(m=8, n=10, k=2), 0).problem()
+    report = hybrid_solve(p, options=SolverOptions(opt_tol=0))
+    assert weighted_l1_norm(report.x, p.w) <= p.tau * (1.0 + FEAS_TOL)
 
 
 def test_spg_never_classifies_faces(monkeypatch):
