@@ -5,7 +5,8 @@ piecewise linear in alpha.  The enumeration walks the ray's events --
 sign flips of coordinates, crossings of the ball boundary, and support
 changes of the projection -- maintaining the norm kappa(alpha), its slope
 rho, the threshold lambda(alpha), and its slope in O(1) amortized updates
-per event.  A full line admits at most 4n - 2 support/boundary events.
+per event.  The projection's support is one signed vector: its signs, zero
+off the support.  A full line admits at most 4n - 2 support/boundary events.
 Segments are produced on demand, so a search that stops early never walks
 the rest of the ray.
 """
@@ -142,26 +143,21 @@ class ProjectionArc:
         return p
 
 
-def support_addition_filter(
-    I: set[int], J: set[int], r: NDArray, w: NDArray
-) -> set[int]:
-    """Select which staged entries actually join the projection support.
+def support_addition_filter(sup: NDArray, staged: NDArray, r: NDArray,
+                            w: NDArray) -> NDArray:
+    """The staged entries that actually join the support `sup`, sorted.
 
-    Entries of J are admitted greedily in decreasing order of r_j / w_j as
-    long as they exceed the running slope ratio a / b of the enlarged
-    support; admitting one can disqualify the rest.
+    Entries enter in decreasing order of r_j / w_j: the first always, each
+    later one while its ratio exceeds the slope ratio a / b of the support
+    enlarged so far.  An entry above a / b raises it toward its own ratio,
+    so once one falls short the rest do too: the admitted entries are a
+    prefix of that order.
     """
-    a = float(sum(w[i] * r[i] for i in I))
-    b = float(sum(w[i] * w[i] for i in I))
-    out = set(I)
-    staged = set(J)
-    while staged:
-        j = max(staged, key=lambda t: r[t] / w[t])
-        a += w[j] * r[j]
-        b += w[j] * w[j]
-        out.add(j)
-        staged = {t for t in staged - {j} if r[t] / w[t] > a / b}
-    return out
+    order = staged[np.argsort(-r[staged] / w[staged], kind="stable")]
+    a = np.dot(w[sup], r[sup]) + np.cumsum(w[order] * r[order])
+    b = np.dot(w[sup], w[sup]) + np.cumsum(w[order] * w[order])
+    enters = r[order[1:]] / w[order[1:]] > a[:-1] / b[:-1]
+    return np.sort(order[:1 + np.logical_and.accumulate(enters).sum()])
 
 
 def _earliest(idx: NDArray, delta: NDArray) -> tuple[float, list[int]]:
@@ -209,24 +205,11 @@ def enumerate_arc(s: NDArray, d: NDArray, w: NDArray, tau: float) -> ProjectionA
 
 def _walk(s: NDArray, d: NDArray, w: NDArray, tau: float,
           events: list[ArcEvent]) -> Iterator[ArcSegment]:
-    """Yield the arc's segments in order, appending each event to `events`."""
-    n = len(s)
+    """Yield the arc's segments in order, appending each event to `events`.
 
-    def seg_support(alpha_lo: float, alpha_hi: float, inside: bool,
-                    I: set[int] | None, signs: dict[int, float] | None,
-                    lam0: float, slope: float) -> ArcSegment:
-        if inside:
-            mid = alpha_lo + (1.0 if not np.isfinite(alpha_hi)
-                              else 0.5 * (alpha_hi - alpha_lo))
-            x = s + mid * d
-            sup = np.nonzero(x)[0]
-            return ArcSegment(alpha_lo, alpha_hi, True, sup, np.sign(x[sup]),
-                              0.0, 0.0)
-        order = sorted(I)
-        sup = np.array(order, dtype=int)
-        sg = np.array([signs[i] for i in order], dtype=float)
-        return ArcSegment(alpha_lo, alpha_hi, False, sup, sg, lam0, slope)
-
+    The support is one vector `sign`: the projection's signs, zero off its
+    support and everywhere inside the ball, where lam and its slope stay 0.
+    """
     if not np.any(d != 0):
         p, lam0 = project(s, w, tau)
         sup = np.nonzero(p)[0]
@@ -235,7 +218,7 @@ def _walk(s: NDArray, d: NDArray, w: NDArray, tau: float,
         return
 
     # Sign-flip schedule, fixed for the whole ray.
-    r = np.where(s * d < 0, -np.abs(d), np.abs(d)).astype(float)
+    r = np.where(s * d < 0, -np.abs(d), np.abs(d))
     crossings = sorted(
         (float(-s[j] / d[j]), int(j)) for j in np.nonzero(s * d < 0)[0]
     )
@@ -247,131 +230,98 @@ def _walk(s: NDArray, d: NDArray, w: NDArray, tau: float,
     alpha = 0.0
     p0, lam = project(s, w, tau)
     inside = lam == 0.0
-    I: set[int] = set()
-    signs: dict[int, float] = {}
-    slope = 0.0
-
-    def recompute_slope() -> float:
-        if not I:
-            return 0.0
-        # Running sums in the set's order: the same additions, in the same
-        # order, as a Python loop over I.
-        sup = np.fromiter(I, dtype=np.intp, count=len(I))
-        a = np.cumsum(w[sup] * r[sup])[-1]
-        b = np.cumsum(w2[sup])[-1]
-        return float(a / b)
-
+    sign = np.zeros(len(s))
     if not inside:
-        I = set(int(i) for i in np.nonzero(p0)[0])
-        signs = {i: float(np.sign(s[i] + alpha * d[i])) for i in I}
-        slope = recompute_slope()
+        sign = np.sign(p0)
     elif kappa >= tau * (1.0 - _TIE) and rho > 0:
         # Starting on the boundary and moving outward: begin outside.
-        inside = False
-        lam = 0.0
-        kappa = tau
-        I = set(int(i) for i in np.nonzero(s)[0])
-        signs = {i: float(np.sign(s[i])) for i in I}
-        slope = recompute_slope()
+        inside, lam, kappa = False, 0.0, tau
+        sign = np.sign(s)
+
+    def support_slope() -> float:
+        on = sign != 0
+        return float(np.dot(w[on], r[on]) / w2[on].sum()) if on.any() else 0.0
+
+    slope = support_slope()
+
+    def segment(alpha_hi: float) -> ArcSegment:
+        """The segment from the current alpha to alpha_hi."""
+        if inside:
+            mid = alpha + (1.0 if not np.isfinite(alpha_hi)
+                           else 0.5 * (alpha_hi - alpha))
+            x = s + mid * d
+            sup = np.nonzero(x)[0]
+            return ArcSegment(alpha, alpha_hi, True, sup, np.sign(x[sup]),
+                              0.0, 0.0)
+        sup = np.flatnonzero(sign)
+        return ArcSegment(alpha, alpha_hi, False, sup, sign[sup], lam, slope)
 
     def resync(at: float) -> None:
-        nonlocal inside, lam, kappa, rho, I, signs, slope, r, ci
+        nonlocal inside, lam, kappa, rho, slope, ci
         eps = _TIE * (1.0 + abs(at)) * 1e3
         xp = s + (at + eps) * d
         p, lam_probe = project(xp, w, tau)
-        r = np.where(xp * d < 0, -np.abs(d), np.abs(d)).astype(float)
+        r[:] = np.where(xp * d < 0, -np.abs(d), np.abs(d))
         rho = float(np.dot(w, r))
         kappa = weighted_l1_norm(s + at * d, w)
         while ci < len(crossings) and crossings[ci][0] <= at + eps:
             ci += 1
-        if lam_probe == 0.0:
-            inside, lam, I, signs, slope = True, 0.0, set(), {}, 0.0
+        inside = lam_probe == 0.0
+        sign[:] = 0.0 if inside else np.sign(p)
+        slope = support_slope()
+        if inside:
+            lam = 0.0
             kappa = min(kappa, tau)
         else:
-            inside = False
-            I = set(int(i) for i in np.nonzero(p)[0])
-            signs = {i: float(np.sign(xp[i])) for i in I}
-            slope = recompute_slope()
-            lam = (sum(w[i] * abs(s[i] + at * d[i]) for i in I) - tau) / sum(
-                w2[i] for i in I
-            )
-            lam = max(lam, 0.0)
+            on = sign != 0
+            lam = max((weighted_l1_norm((s + at * d)[on], w[on]) - tau)
+                      / w2[on].sum(), 0.0)
 
-    max_events = 8 * n + 16
+    max_events = 8 * len(s) + 16
     while True:
         if len(events) > max_events:
             raise ArcEnumerationError("event budget exceeded; arc did not settle")
-        next_cross = crossings[ci][0] if ci < len(crossings) else np.inf
-
+        cands = []
+        if ci < len(crossings):
+            cands.append((crossings[ci][0], "zero_cross", (crossings[ci][1],)))
         if inside:
-            cands = [(next_cross, "zero_cross")]
             if rho > 0:
                 cands.append((alpha + max((tau - kappa) / rho, 0.0),
-                              "boundary_cross"))
-            a_next, kind = min(cands, key=lambda t: t[0])
-            if not np.isfinite(a_next):
-                yield seg_support(alpha, np.inf, True, None, None, 0.0, 0.0)
-                return
-            if a_next > alpha:
-                yield seg_support(alpha, a_next, True, None, None, 0.0, 0.0)
-            step = a_next - alpha
-            kappa += step * rho
-            alpha = a_next
-            if kind == "zero_cross":
-                j = crossings[ci][1]
-                ci += 1
-                r[j] = abs(d[j])
-                rho += 2.0 * w[j] * abs(d[j])
-                events.append(ArcEvent(alpha, "zero_cross", (j,), 0.0, kappa,
-                                       rho, 0.0))
-            else:
-                kappa = tau
-                inside = False
-                lam = 0.0
-                x = s + alpha * d
-                I = set(int(i) for i in np.nonzero(x)[0])
-                signs = {i: float(np.sign(x[i])) for i in I}
-                slope = recompute_slope()
-                events.append(ArcEvent(alpha, "boundary_cross", (), lam, kappa,
-                                       rho, slope))
-            continue
+                              "boundary_cross", ()))
+        else:
+            x_now = s + alpha * d
+            sup = np.flatnonzero(sign)
+            den = w[sup] * slope - r[sup]
+            keep = den > _TIE
+            rm = sup[keep]
+            rm_best, rm_idx = _earliest(rm, np.maximum(
+                (np.abs(x_now[rm]) - w[rm] * lam) / den[keep], 0.0))
+            if rm_idx:
+                cands.append((alpha + rm_best, "support_remove",
+                              tuple(sorted(rm_idx))))
+            den = r - w * slope
+            ad = np.flatnonzero((den > _TIE) & (sign == 0))
+            ad_best, ad_idx = _earliest(ad, np.maximum(
+                (w[ad] * lam - np.abs(x_now[ad])) / den[ad], 0.0))
+            if ad_idx:
+                cands.append((alpha + ad_best, "support_add",
+                              tuple(sorted(ad_idx))))
+            if rho < 0:
+                cands.append((alpha + max((tau - kappa) / rho, 0.0),
+                              "boundary_cross", ()))
 
-        # Outside the ball: threshold lambda > 0 (or leaving the boundary).
-        x_now = s + alpha * d
-        cands = []
-        if np.isfinite(next_cross):
-            cands.append((next_cross, "zero_cross", (crossings[ci][1],)))
-        sup = np.fromiter(I, dtype=np.intp, count=len(I))  # the set's order
-        den = w[sup] * slope - r[sup]
-        keep = den > _TIE
-        rm = sup[keep]
-        rm_best, rm_idx = _earliest(rm, np.maximum(
-            (np.abs(x_now[rm]) - w[rm] * lam) / den[keep], 0.0))
-        if rm_idx:
-            cands.append((alpha + rm_best, "support_remove", tuple(sorted(rm_idx))))
-        den = r - w * slope
-        grow = den > _TIE
-        grow[sup] = False
-        ad = np.flatnonzero(grow)
-        ad_best, ad_idx = _earliest(ad, np.maximum(
-            (w[ad] * lam - np.abs(x_now[ad])) / den[ad], 0.0))
-        if ad_idx:
-            cands.append((alpha + ad_best, "support_add", tuple(sorted(ad_idx))))
-        if rho < 0:
-            cands.append((alpha + max((tau - kappa) / rho, 0.0),
-                          "boundary_cross", ()))
-
-        if not cands:
-            yield seg_support(alpha, np.inf, False, I, signs, lam, slope)
-            return
-        a_next = min(t[0] for t in cands)
+        a_next = min((t[0] for t in cands), default=np.inf)
         if not np.isfinite(a_next):
-            yield seg_support(alpha, np.inf, False, I, signs, lam, slope)
+            yield segment(np.inf)
             return
-        tol = _TIE * (1.0 + abs(a_next))
-        hits = [t for t in cands if t[0] <= a_next + tol]
+        if inside:
+            # Inside the ball events are taken one at a time.
+            hits = [min(cands, key=lambda t: t[0])]
+        else:
+            tol = _TIE * (1.0 + abs(a_next))
+            hits = [t for t in cands if t[0] <= a_next + tol]
         if a_next > alpha:
-            yield seg_support(alpha, a_next, False, I, signs, lam, slope)
+            yield segment(a_next)
         step = a_next - alpha
         kappa += step * rho
         lam = max(lam + step * slope, 0.0)
@@ -396,37 +346,27 @@ def _walk(s: NDArray, d: NDArray, w: NDArray, tau: float,
             ci += 1
             r[j] = abs(d[j])
             rho += 2.0 * w[j] * abs(d[j])
-            if j in I:  # only possible at lambda ~ 0; rebuild to be safe
+            if sign[j] != 0:  # only possible at lambda ~ 0; rebuild to be safe
                 resync(alpha)
-            events.append(ArcEvent(alpha, "zero_cross", idx, lam, kappa, rho,
-                                   slope))
         elif kind == "support_remove":
-            for i in idx:
-                I.discard(i)
-                signs.pop(i, None)
-            if not I:
-                resync(alpha)
+            sign[list(idx)] = 0.0
+            if sign.any():
+                slope = support_slope()
             else:
-                slope = recompute_slope()
-            events.append(ArcEvent(alpha, "support_remove", idx, lam, kappa,
-                                   rho, slope))
+                resync(alpha)
         elif kind == "support_add":
-            newI = support_addition_filter(I, set(idx), r, w)
-            added = tuple(sorted(newI - I))
+            added = support_addition_filter(sup, np.array(idx), r, w)
             x = s + alpha * d
-            for j in added:
-                signs[j] = float(np.sign(x[j])) if x[j] != 0 else float(np.sign(d[j]))
-            I = newI
-            slope = recompute_slope()
-            events.append(ArcEvent(alpha, "support_add", added, lam, kappa,
-                                   rho, slope))
-        else:  # boundary_cross: the ray enters the ball
-            inside = True
-            lam = 0.0
-            kappa = tau
-            I, signs, slope = set(), {}, 0.0
-            events.append(ArcEvent(alpha, "boundary_cross", (), lam, kappa,
-                                   rho, slope))
+            sign[added] = np.where(x[added] != 0, np.sign(x[added]),
+                                   np.sign(d[added]))
+            slope = support_slope()
+            idx = tuple(added.tolist())
+        else:  # boundary_cross: the ray leaves or enters the ball
+            inside = not inside
+            lam, kappa = 0.0, tau
+            sign[:] = 0.0 if inside else np.sign(s + alpha * d)
+            slope = support_slope()
+        events.append(ArcEvent(alpha, kind, idx, lam, kappa, rho, slope))
 
 
 def _norm_argmin(s: NDArray, d: NDArray, w: NDArray) -> float:

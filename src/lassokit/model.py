@@ -109,8 +109,8 @@ class LassoProblem:
         for name in ("b", "w", "c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has a non-finite entry")
-        if np.isnan(self.tau) or np.isnan(self.mu):
-            raise ValueError("tau and mu must be numbers, not NaN")
+        if not (np.isfinite(self.tau) and np.isfinite(self.mu)):
+            raise ValueError("tau and mu must be finite")
         if self.tau < 0:
             raise ValueError("radius tau must be nonnegative")
         if self.mu < 0:

@@ -160,8 +160,8 @@ def test_addition_filter_singleton_always_enters():
         n = 6
         r = rng.normal(size=n)
         w = rng.uniform(0.2, 3.0, size=n)
-        out = support_addition_filter({0, 1}, {4}, r, w)
-        assert 4 in out
+        out = support_addition_filter(np.array([0, 1]), np.array([4]), r, w)
+        assert out.tolist() == [4]
 
 
 def test_addition_filter_matches_subset_oracle():
@@ -175,9 +175,28 @@ def test_addition_filter_matches_subset_oracle():
         rest = [j for j in range(n) if j not in I]
         jsize = int(rng.integers(1, min(len(rest), 10) + 1))
         J = set(int(j) for j in rng.choice(rest, size=jsize, replace=False))
-        assert support_addition_filter(I, J, r, w) == subset_filter_oracle(
-            I, J, r, w
-        )
+        out = support_addition_filter(np.array(sorted(I)), np.array(sorted(J)),
+                                      r, w)
+        assert out.tolist() == sorted(set(out.tolist()))
+        assert I | set(out.tolist()) == subset_filter_oracle(I, J, r, w)
+
+
+def test_addition_filter_large_staged_set_with_ties():
+    # 200 staged entries, a quarter of them sharing one ratio with the
+    # entry that leads, against the best prefix of the descending order.
+    rng = np.random.default_rng(10)
+    n = 230
+    w = rng.uniform(0.2, 3.0, size=n)
+    r = rng.normal(size=n) * w
+    sup, staged = np.arange(30), rng.permutation(np.arange(30, n))
+    r[staged[:50]] = 2.5 * w[staged[:50]]
+    r[staged[50:]] = np.minimum(r[staged[50:]], 2.0 * w[staged[50:]])
+    out = support_addition_filter(sup, staged, r, w)
+    order = staged[np.argsort(-r[staged] / w[staged], kind="stable")]
+    best = np.argmax((w[sup] @ r[sup] + np.cumsum(w[order] * r[order]))
+                     / (w[sup] @ w[sup] + np.cumsum(w[order] ** 2)))
+    assert 50 <= len(out) < 200
+    assert out.tolist() == sorted(order[:best + 1].tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
@@ -250,7 +269,7 @@ def test_enumeration_error_surfaces_from_segments(monkeypatch):
     # A filter that admits nothing leaves the same add event due at the same
     # alpha forever, so the walk runs out of its event budget.
     monkeypatch.setattr(arc_module, "support_addition_filter",
-                        lambda I, J, r, w: set(I))
+                        lambda sup, staged, r, w: np.array([], dtype=int))
     arc = enumerate_arc(np.array([2.0, 0.5]), np.array([0.0, 1.0]),
                         np.ones(2), 1.0)
     for _ in range(2):
@@ -293,7 +312,7 @@ def test_near_tied_add_candidates_follow_scalar_scan():
 
 def test_near_tied_remove_candidates_follow_scalar_scan():
     # All three coordinates carry the projection; 1 and 2 are due to leave
-    # at offsets less than _TIE apart, the later one first in set order.
+    # at offsets less than _TIE apart, the later one first in index order.
     s = np.array([3.0, 1.0 + 2e-14, 1.0])
     d = np.array([1.0, 0.0, 0.0])
     w = np.ones(3)
@@ -339,3 +358,31 @@ def test_earliest_matches_scalar_scan_on_chains():
                                              delta[order].tolist()))
         assert best == ref_best
         assert tuple(sorted(out)) == ref_idx
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_large_gradient_arc_matches_projection(n):
+    # A spectral projected-gradient ray as a solve walks it: from a
+    # projected start along -alpha_BB * g on a Gaussian least-squares
+    # problem.  The start lies on the sphere, so many coordinates are due
+    # to join at once and the addition filter sees large staged sets.
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n // 2, n)) / np.sqrt(n // 2)
+    x_true = np.zeros(n)
+    x_true[rng.choice(n, n // 16, replace=False)] = rng.normal(size=n // 16)
+    b = A @ x_true
+    w = rng.uniform(0.5, 2.0, size=n)
+    tau = 0.5 * weighted_l1_norm(x_true, w)
+    prev, _ = project(rng.normal(size=n), w, tau)
+    s, _ = project(prev + 0.1 * rng.normal(size=n), w, tau)
+    ds = s - prev
+    alpha_bb = float(ds @ ds / (ds @ (A.T @ (A @ ds))))
+    d = -alpha_bb * (A.T @ (A @ s - b))
+    arc = enumerate_arc(s, d, w, tau)
+    for seg in arc.segments:
+        hi = seg.alpha_hi if np.isfinite(seg.alpha_hi) else seg.alpha_lo + 1.0
+        mid = 0.5 * (seg.alpha_lo + hi)
+        ref, _ = project(s + mid * d, w, tau)
+        assert np.max(np.abs(arc.point_at(mid) - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert max(len(e.indices) for e in arc.events
+               if e.kind == "support_add") >= 10

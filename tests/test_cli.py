@@ -111,6 +111,18 @@ def test_non_finite_data_exits_bad_input(tmp_path, capsys, command, mode, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["tau", "mu"])
+def test_infinite_tau_or_mu_exits_bad_input(tmp_path, capsys, key):
+    out = _gen(tmp_path, "--mode", "tau")
+    capsys.readouterr()
+    manifest = out / "manifest.txt"
+    lines = [ln for ln in manifest.read_text().splitlines()
+             if not ln.startswith(key)]
+    manifest.write_text("\n".join(lines + [f"{key} = inf"]) + "\n")
+    assert main(["solve", "--manifest", str(manifest)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_gen_determinism(tmp_path, capsys):
     out1 = _gen(tmp_path / "a", seed=5)
     out2 = _gen(tmp_path / "b", seed=5)
