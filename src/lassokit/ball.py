@@ -26,12 +26,35 @@ def prox_weighted_l1(u: NDArray, lam: float, w: NDArray) -> NDArray:
     return np.sign(u) * np.maximum(np.abs(u) - lam * w, 0.0)
 
 
+def threshold(a: NDArray, w: NDArray, radius: float) -> float:
+    """Smallest lam >= 0 with sum_i w_i max(a_i - lam*w_i, 0) <= radius, for a >= 0.
+
+    The left side falls piecewise linearly in lam, with breakpoints a_i/w_i.
+    With the k largest breakpoints active, lam solves cwa_k - lam*cw2_k =
+    radius; that root lies below the k-th breakpoint for a prefix of k, and
+    the last k of the prefix holds the threshold.  At radius 0 the prefix
+    is empty (the k = 1 root is the largest breakpoint itself, but rounds
+    about it), and the threshold is the largest breakpoint.  O(n log n).
+    """
+    if float(np.dot(w, a)) <= radius:
+        return 0.0
+    ratios = a / w
+    order = np.argsort(ratios)[::-1]
+    t = ratios[order]
+    lam_k = (np.cumsum((w * a)[order]) - radius) / np.cumsum((w * w)[order])
+    k = int(np.count_nonzero(lam_k < t)) if radius > 0 else 0
+    return max(float(lam_k[k - 1]), 0.0) if k else float(t[0])
+
+
 def project(u: NDArray, w: NDArray, tau: float) -> tuple[NDArray, float]:
     """Euclidean projection onto {x : sum_i w_i |x_i| <= tau}.
 
     Returns the projected point and the smallest threshold lam >= 0 such
-    that the soft-thresholded point is feasible.  O(n log n) via sorting
-    the breakpoints |u_i| / w_i.
+    that the soft-thresholded point is feasible.  Soft thresholding
+    |u| - lam*w cancels when |u| >> tau, so entries carry an absolute error
+    of about eps*max|u|.  A result that this leaves off the sphere by more
+    than the feasibility slack is scaled back onto it; one that rounds to
+    zero (max|u| near tau/eps) has no scale and is returned as it is.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -41,31 +64,12 @@ def project(u: NDArray, w: NDArray, tau: float) -> tuple[NDArray, float]:
         raise ValueError("weights must be strictly positive")
     if tau < 0:
         raise ValueError("radius must be nonnegative")
-    au = np.abs(u)
-    if float(np.dot(w, au)) <= tau:
+    lam = threshold(np.abs(u), w, tau)
+    if lam == 0.0:
         return u.copy(), 0.0
-    # Breakpoints of lam -> ||prox(u, lam)||_{w,1}, descending.
-    ratios = au / w
-    order = np.argsort(ratios)[::-1]
-    t = ratios[order]
-    wu = (w * au)[order]
-    w2 = (w * w)[order]
-    cwu = np.cumsum(wu)
-    cw2 = np.cumsum(w2)
-    # With the k largest ratios active, lam solves cwu_k - lam*cw2_k = tau.
-    lam_k = (cwu - tau) / cw2
-    # Valid k: threshold falls at or above the next breakpoint.
-    t_next = np.empty_like(t)
-    t_next[:-1] = t[1:]
-    t_next[-1] = 0.0
-    ks = np.nonzero((lam_k < t) & (lam_k >= t_next))[0]
-    k = int(ks[0]) if ks.size else len(t) - 1
-    lam = max(float(lam_k[k]), 0.0)
     x = prox_weighted_l1(u, lam, w)
-    # (cwu - tau)/cw2 cancels when |u| >> tau; pull a point left outside
-    # the slack back onto the sphere.
     norm = weighted_l1_norm(x, w)
-    if norm > tau * (1.0 + FEAS_TOL):
+    if norm > 0.0 and not tau * (1.0 - FEAS_TOL) <= norm <= tau * (1.0 + FEAS_TOL):
         x *= tau / norm
     return x, lam
 

@@ -3,7 +3,8 @@
 Machine-first output: a single JSON run record on stdout for solve/root,
 CSV for bench, and plain PASS/FAIL lines for arc-audit.  Exit codes:
 0 success/optimal, 2 iteration or subproblem budget exhausted,
-3 line-search failure, 64 malformed manifest or config.
+3 line-search failure, 4 residual target sigma unreachable,
+64 malformed manifest or config.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .probgen import (
     gen_instance,
     make_rng,
 )
-from .rootfind import STATUS_BUDGET, STATUS_CONVERGED, solve_bpdn
+from .rootfind import STATUS_BUDGET, STATUS_CONVERGED, STATUS_UNREACHABLE, solve_bpdn
 from .solver import (
     STATUS_ITER_LIMIT,
     STATUS_LINESEARCH_FAILURE,
@@ -39,6 +40,7 @@ from .solver import (
 EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_LINESEARCH = 3
+EXIT_UNREACHABLE = 4
 EXIT_BAD_INPUT = 64
 
 _STATUS_EXIT = {
@@ -47,6 +49,7 @@ _STATUS_EXIT = {
     STATUS_ITER_LIMIT: EXIT_BUDGET,
     STATUS_BUDGET: EXIT_BUDGET,
     STATUS_LINESEARCH_FAILURE: EXIT_LINESEARCH,
+    STATUS_UNREACHABLE: EXIT_UNREACHABLE,
 }
 
 

@@ -2,8 +2,9 @@
 
 For mu = 0 the dual of the ball-constrained problem maximizes
 y'b - tau*lam - 0.5*||y||^2 over ||A'y - c||_{1/w,inf} <= lam, and the
-primal iterate supplies the feasible pair y = b - Ax.  For mu > 0 the
-multiplier can instead be optimized exactly in O(n log n), which always
+primal iterate supplies the feasible pair y = b - Ax: the augmented
+certificate, whose mu term then vanishes.  For mu > 0 the multiplier can
+instead be optimized exactly with the ball's threshold kernel, which always
 dominates the certificate read off the augmented residual.
 
 Every certificate reads A'y from the iterate's gradient g = A'r + c + mu*x,
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .ball import project
+from .ball import project, threshold
 from .model import Iterate, LassoProblem
 
 
@@ -43,14 +44,6 @@ class DualCertificate:
         return max(f - self.objective, 0.0)
 
 
-def certificate_mu_zero(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
-    y = -iterate.r  # b - Ax
-    z = -iterate.g  # A'y - c
-    lam = dual_weighted_inf_norm(z, problem.w)
-    obj = float(y @ problem.b) - problem.tau * lam - 0.5 * float(y @ y)
-    return DualCertificate(lam, obj)
-
-
 def certificate_augmented(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
     """Multiplier read off the residual of the stacked (A; sqrt(mu) I) system."""
     y = -iterate.r
@@ -69,29 +62,13 @@ def certificate_augmented(problem: LassoProblem, iterate: Iterate) -> DualCertif
 def optimal_dual_lambda(z: NDArray, w: NDArray, tau: float, mu: float) -> float:
     """argmin over lam >= 0 of tau*lam + (1/2mu) * ||max(z - lam*w, 0)||^2.
 
-    z must be nonnegative.  The derivative is piecewise linear and increasing
-    in lam with breakpoints z_i / w_i; evaluate it at all of them after sorting.
+    z must be nonnegative.  The derivative vanishes where
+    sum_i w_i max(z_i - lam*w_i, 0) = mu*tau: the projection threshold of z
+    onto the weighted one-norm ball of radius mu*tau.
     """
     if mu <= 0:
         raise ValueError("optimized multiplier requires mu > 0")
-    z = np.asarray(z, dtype=float)
-    t = z / w
-    order = np.argsort(t)
-    t = t[order]
-    wz = (w * z)[order]
-    w2 = (w * w)[order]
-    swz = np.concatenate([[0.0], np.cumsum(wz)])
-    sw2 = np.concatenate([[0.0], np.cumsum(w2)])
-    # act_*[k] sums the entries k, k+1, ..., the ones active just below t_k.
-    act_wz = swz[-1] - swz
-    act_w2 = sw2[-1] - sw2
-    if tau - act_wz[0] / mu >= 0:
-        return 0.0
-    ks = np.flatnonzero(tau - (act_wz[:-1] - t * act_w2[:-1]) / mu >= 0)
-    if ks.size:
-        k = ks[0]
-        return float((act_wz[k] - mu * tau) / act_w2[k])
-    return float(t[-1]) if len(t) else 0.0
+    return threshold(z, w, mu * tau)
 
 
 def certificate_optimized(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
@@ -111,7 +88,7 @@ def certificate_optimized(problem: LassoProblem, iterate: Iterate) -> DualCertif
 def best_certificate(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
     if problem.mu > 0:
         return certificate_optimized(problem, iterate)
-    return certificate_mu_zero(problem, iterate)
+    return certificate_augmented(problem, iterate)
 
 
 def relative_gap(f: float, dual_obj: float) -> float:

@@ -24,6 +24,7 @@ MAX_SUBPROBLEMS = 100
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "subproblem_budget"
+STATUS_UNREACHABLE = "sigma_unreachable"
 
 
 @dataclass
@@ -65,7 +66,9 @@ def solve_bpdn(
     """Minimize the weighted one-norm subject to ||Ax - b|| <= sigma.
 
     `problem.tau` is ignored; each subproblem re-solves at the current
-    radius with a warm start projected from the previous solution.
+    radius with a warm start projected from the previous solution.  An
+    optimal subproblem with multiplier 0 and a misfit above sigma proves
+    sigma unreachable and ends the run with STATUS_UNREACHABLE.
     """
     start = time.perf_counter()
     if not sigma >= 0:
@@ -120,6 +123,11 @@ def solve_bpdn(
         # can otherwise exclude the root from the bracket for good.
         if report.status == STATUS_OPTIMAL:
             if misfit > sigma:
+                if lam == 0:
+                    # The ball constraint is inactive: every larger radius has
+                    # this same solution, and every smaller one a larger misfit.
+                    status = STATUS_UNREACHABLE
+                    break
                 tau_lo = max(tau_lo, tau)
             else:
                 tau_hi = min(tau_hi, tau)

@@ -116,14 +116,6 @@ def _pg_search(problem: LassoProblem, it: Iterate, alpha_bb: float,
     return nonmonotone_armijo_backtrack(problem, it, alpha_bb, history)
 
 
-def _trivial_report(problem: LassoProblem, start: float) -> SolverReport:
-    x = np.zeros(problem.shape[1])
-    it = evaluate(problem, x)
-    return SolverReport(x=x, r=it.r, f=it.f, gap=0.0, lam=0.0,
-                        status=STATUS_OPTIMAL, iterations=0, qn_steps=0,
-                        pg_steps=0, time_sec=time.perf_counter() - start)
-
-
 def spg_solve(
     problem: LassoProblem,
     x0: NDArray | None = None,
@@ -163,8 +155,6 @@ def _solve(
 ) -> SolverReport:
     start = time.perf_counter()
     options = options or SolverOptions()
-    if problem.tau == 0:
-        return _trivial_report(problem, start)
     m, n = problem.shape
     max_iter = options.max_iter if options.max_iter is not None else 10 * m
     if x0 is None:

@@ -11,6 +11,7 @@ from lassokit.ball import (
     max_step_on_face,
     prox_weighted_l1,
     project,
+    threshold,
     weighted_l1_norm,
 )
 
@@ -69,8 +70,9 @@ def test_project_matches_bisection_oracle():
 
 @pytest.mark.parametrize("unit", [True, False])
 def test_project_far_outside_stays_in_ball(unit):
-    # The threshold (sum w|u| - tau)/sum w^2 cancels when |u| >> tau; the
-    # solver projects x - 1e10*g whenever its step clamps at the maximum.
+    # The threshold (sum w|u| - tau)/sum w^2 and the soft threshold |u| - lam*w
+    # cancel when |u| >> tau; the solver projects x - 1e10*g whenever its
+    # step clamps at the maximum.  The result still lands on the sphere.
     rng = np.random.default_rng(11)
     for e in range(13):
         for _ in range(20):
@@ -78,7 +80,21 @@ def test_project_far_outside_stays_in_ball(unit):
             w = np.ones(n) if unit else rng.uniform(0.2, 3.0, size=n)
             tau = float(rng.uniform(0.5, 2.0))
             x, _ = project(rng.normal(size=n) * 10.0**e * tau, w, tau)
-            assert weighted_l1_norm(x, w) <= tau * (1.0 + FEAS_TOL)
+            norm = weighted_l1_norm(x, w)
+            assert tau * (1.0 - FEAS_TOL) <= norm <= tau * (1.0 + FEAS_TOL)
+
+
+def test_threshold_at_radius_zero_is_largest_breakpoint():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        u = rng.normal(size=n)
+        w = rng.uniform(0.2, 3.0, size=n)
+        expect = float(np.max(np.abs(u) / w))
+        assert threshold(np.abs(u), w, 0.0) == expect
+        x, lam = project(u, w, 0.0)
+        assert lam == expect
+        assert not np.any(x)
 
 
 def test_face_of_interior_and_vertex():

@@ -8,6 +8,7 @@ from lassokit import io as lio
 from lassokit.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
+    EXIT_UNREACHABLE,
     main,
 )
 
@@ -80,6 +81,18 @@ def test_root_converges(tmp_path, capsys):
     assert record["status"] == "converged"
     rel = abs(record["misfit"] - record["sigma"]) / max(record["sigma"], 1e-3)
     assert rel <= 1e-5
+
+
+def test_root_unreachable_sigma_exits_4(tmp_path, capsys):
+    out = _gen(tmp_path, "--mode", "sigma", seed=1, m=64, n=128, k=20)
+    capsys.readouterr()
+    manifest = out / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "mu = 0.1\n")
+    code = main(["root", "--manifest", str(manifest)])
+    record = json.loads(capsys.readouterr().out.strip())
+    assert code == EXIT_UNREACHABLE == 4
+    assert record["status"] == "sigma_unreachable"
+    assert record["misfit"] > record["sigma"]
 
 
 def test_missing_b_manifest(tmp_path, capsys):

@@ -3,11 +3,14 @@ import pytest
 
 from lassokit import rootfind
 from lassokit.model import DenseOperator, LassoProblem, LinearOperator
+from lassokit.probgen import GeneratorSpec, gen_instance
 from lassokit.rootfind import (
     STATUS_CONVERGED,
+    STATUS_UNREACHABLE,
     newton_tau_update,
     solve_bpdn,
 )
+from lassokit.solver import STATUS_OPTIMAL
 
 
 def test_newton_update_fixed_point():
@@ -93,6 +96,20 @@ def test_misfit_certificate_scaling():
     report = solve_bpdn(p, sigma=float(np.linalg.norm(b)) * 0.9)
     assert report.status == STATUS_CONVERGED
     assert abs(report.misfit - report.sigma) <= 1e-5 * max(report.sigma, 1e-3)
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+def test_unreachable_sigma_has_its_own_status(solver):
+    # sigma = 0.01||b|| lies below the ridge misfit for mu = 0.1: once a
+    # subproblem's ball constraint goes inactive (lam = 0), no radius helps.
+    inst = gen_instance(GeneratorSpec(m=64, n=128), 1)
+    report = solve_bpdn(inst.problem(mu=0.1), inst.sigma, solver=solver)
+    assert report.status == STATUS_UNREACHABLE
+    last = report.path[-1]
+    assert last.subproblem_status == STATUS_OPTIMAL
+    assert last.lam == 0.0
+    assert report.misfit == last.misfit > inst.sigma
+    assert report.subproblems <= 5
 
 
 @pytest.mark.parametrize("solver", ["spg", "hybrid"])

@@ -10,7 +10,7 @@ from lassokit.ball import (
     in_self_projection_cone,
     weighted_l1_norm,
 )
-from lassokit.duality import StoppingOracle
+from lassokit.duality import StoppingOracle, dual_weighted_inf_norm
 from lassokit.model import (
     DenseOperator,
     LassoProblem,
@@ -53,6 +53,24 @@ def test_zero_radius_trivial():
     assert report.status == STATUS_OPTIMAL
     assert report.iterations == 0
     assert np.array_equal(report.x, np.zeros(1))
+
+
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_zero_radius_reports_the_multiplier(solve, mu):
+    # The ordinary path certifies x = 0 at once and reports the multiplier
+    # ||A'b - c||_{w,inf} of the radius-zero problem.
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 9))
+    p = LassoProblem(op=DenseOperator(a), b=rng.normal(size=6), tau=0.0,
+                     w=rng.uniform(0.5, 2.0, size=9), mu=mu,
+                     c=rng.normal(size=9))
+    report = solve(p, x0=rng.normal(size=9), options=SolverOptions(opt_tol=0.0))
+    assert report.status == STATUS_OPTIMAL
+    assert report.iterations == 0
+    assert report.gap == 0.0
+    assert not np.any(report.x)
+    assert report.lam == dual_weighted_inf_norm(a.T @ p.b - p.c, p.w)
 
 
 def test_infeasible_start_is_projected():
