@@ -4,7 +4,6 @@ along the full projection trajectory."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ from numpy.typing import NDArray
 
 from .arc import ProjectionArc
 from .ball import project
-from .model import Iterate, LassoProblem, RayObjective, evaluate, objective_value
+from .model import Iterate, LassoProblem, RayObjective, evaluate
 
 # Incremental matrix-column products are rebuilt from scratch this often.
 RECOMPUTE_EVERY = 50
@@ -30,29 +29,6 @@ class UnboundedRayError(RuntimeError):
     """The objective decreases without bound along the given ray."""
 
 
-class HistoryBuffer:
-    """Sliding window of recent objective values for nonmonotone descent."""
-
-    def __init__(self, maxlen: int):
-        self._q: deque[float] = deque(maxlen=maxlen)
-
-    def push(self, f: float) -> None:
-        self._q.append(f)
-
-    def maximum(self) -> float:
-        if not self._q:
-            raise ValueError("history is empty")
-        return max(self._q)
-
-    def reset(self, f: float) -> None:
-        """Empty the window and seed it with the current objective."""
-        self._q.clear()
-        self._q.append(f)
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-
 def bb_step(s: NDArray, y: NDArray, alpha_min: float, alpha_max: float) -> float:
     """Barzilai-Borwein step s's / s'y, clamped; alpha_max when curvature <= 0."""
     sy = float(s @ y)
@@ -64,17 +40,10 @@ def bb_step(s: NDArray, y: NDArray, alpha_min: float, alpha_max: float) -> float
 def alpha_opt(problem: LassoProblem, iterate: Iterate, d: NDArray) -> float:
     """Exact minimizer of the quadratic objective along x + alpha*d."""
     ray = RayObjective(problem, iterate.x, d, r=iterate.r)
-    return _ray_minimizer(ray, float(iterate.g @ d))
-
-
-def _ray_minimizer(ray: RayObjective, gd: float) -> float:
-    """Minimizer of the ray's quadratic, whose slope at 0 is gd = g'd."""
-    denom = 2.0 * ray.c2
-    if denom <= 0:
-        if gd < 0:
-            raise UnboundedRayError("flat curvature with descent direction")
-        return np.inf
-    return -gd / denom
+    gd = float(iterate.g @ d)
+    if ray.c2 <= 0 and gd < 0:
+        raise UnboundedRayError("flat curvature with descent direction")
+    return ray.minimizer(gd)
 
 
 def wolfe_window(problem: LassoProblem, iterate: Iterate, d: NDArray,
@@ -111,9 +80,9 @@ def _accept(problem: LassoProblem, iterate: Iterate, xa: NDArray, alpha: float,
     dx = xa - iterate.x
     if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
         return SearchResult("stationary", iterate, 0.0, trials)
-    fa, ra = objective_value(problem, xa, ra)
-    if fa <= fmax + SUFF_DECREASE * float(iterate.g @ dx):
-        return SearchResult("accepted", evaluate(problem, xa, r=ra), alpha, trials)
+    trial = evaluate(problem, xa, r=ra)
+    if trial.f <= fmax + SUFF_DECREASE * float(iterate.g @ dx):
+        return SearchResult("accepted", trial, alpha, trials)
     return None
 
 
@@ -121,20 +90,18 @@ def nonmonotone_armijo_backtrack(
     problem: LassoProblem,
     iterate: Iterate,
     alpha0: float,
-    history: HistoryBuffer,
+    fmax: float,
 ) -> SearchResult:
     """Backtrack along the segment from x to x1 = P(x - alpha0*g).
 
     Trials are x + lam*d with d = x1 - x, starting at lam = 1, and the first
-    with f <= max(history) + gamma * g'(lam*d) is accepted; `alpha` reports
-    its lam.  f is an exact quadratic along the segment, so after a
-    rejection the next lam is the segment minimizer when it lies in the
-    safeguard window, else lam*BACKTRACK_FACTOR.  The search projects once
-    and forms one forward product, A x1; a trial's residual is r + lam*A d
-    with A d = (A x1 - b) - r.  A zero-length accepted move reports
-    `stationary`.
+    with f <= fmax + gamma * g'(lam*d) is accepted; `alpha` reports its lam.
+    f is an exact quadratic along the segment, so after a rejection the next
+    lam is the segment minimizer when it lies in the safeguard window, else
+    lam*BACKTRACK_FACTOR.  The search projects once and forms one forward
+    product, A x1; a trial's residual is r + lam*A d with
+    A d = (A x1 - b) - r.  A zero-length accepted move reports `stationary`.
     """
-    fmax = history.maximum()
     x, r, g = iterate.x, iterate.r, iterate.g
     x1, _ = project(x - alpha0 * g, problem.w, problem.tau)
     r1 = problem.op.apply(x1) - problem.b
@@ -142,16 +109,16 @@ def nonmonotone_armijo_backtrack(
     if res is not None:
         return res
     d = x1 - x
-    ad = r1 - r
-    c2 = 0.5 * (float(ad @ ad) + problem.mu * float(d @ d))
-    lam_star = -float(g @ d) / (2.0 * c2) if c2 > 0 else np.inf
+    ray = RayObjective(problem, x, d, r=r, ad=r1 - r)
+    lam_star = ray.minimizer(float(g @ d))
     lam = 1.0
     for k in range(1, MAX_BACKTRACKS):
         if INTERP_LO * lam <= lam_star <= INTERP_HI * lam:
             lam = lam_star
         else:
             lam *= BACKTRACK_FACTOR
-        res = _accept(problem, iterate, x + lam * d, lam, fmax, k + 1, r + lam * ad)
+        res = _accept(problem, iterate, x + lam * d, lam, fmax, k + 1,
+                      r + lam * ray.ad)
         if res is not None:
             return res
     return SearchResult("failed", None, 0.0, MAX_BACKTRACKS)
@@ -176,17 +143,11 @@ def face_wolfe_search(
     if gd >= 0:
         return SearchResult("failed")
     ray = RayObjective(problem, iterate.x, d, r=iterate.r)
-    try:
-        a_star = _ray_minimizer(ray, gd)
-    except UnboundedRayError:
-        return SearchResult("failed")
-    lo = (1.0 - WOLFE_CURV) * a_star
-    a = a_star
+    a = ray.minimizer(gd)  # inf on a flat ray, which fails below
     if a > alpha_bound:
-        if alpha_bound >= lo:
-            a = alpha_bound
-        else:
+        if alpha_bound < (1.0 - WOLFE_CURV) * a:
             return SearchResult("failed")
+        a = alpha_bound
     if a <= 0 or not np.isfinite(a):
         return SearchResult("failed")
     it = evaluate(problem, iterate.x + a * d, r=iterate.r + a * ray.ad)
@@ -247,54 +208,49 @@ def trajectory_search(
     problem: LassoProblem,
     iterate: Iterate,
     arc: ProjectionArc,
-    history: HistoryBuffer,
+    fmax: float,
 ) -> SearchResult:
     """Minimize the objective along the projection trajectory P(x - a*g_scaled).
 
     `arc` starts at `iterate.x`.  Scans segments in order and stops at the
     first local minimum, walking the arc only as far as it reads.  The
     minimizer must still pass the nonmonotone sufficient-decrease test
-    against `history`; otherwise the caller falls back to plain backtracking.
+    against `fmax`; otherwise the caller falls back to plain backtracking.
     """
     prods = _ArcProducts(problem, arc)
-    b, c, mu = problem.b, problem.c, problem.mu
-    ad = None  # A*d, formed on the first inside segment
+    inside = None  # every inside segment lies on the ray x + a*d
     for seg in arc.iter_segments():
         lo, hi = seg.alpha_lo, seg.alpha_hi
         if seg.inside:
             # p(a) = s + a*d with full vectors, and A*s - b = iterate.r.
-            if ad is None:
-                ad = problem.op.apply(arc.d)
-            P, D = iterate.r, ad
-            q, h = arc.s, arc.d
+            if inside is None:
+                inside = RayObjective(problem, arc.s, arc.d, r=iterate.r)
+            ray = inside
         else:
+            # p(a) = q + a*h, the support's entries shrunk by lam(a)*sign*w.
             prods.set_support(seg.support, seg.signs)
             c0 = seg.lam0 - seg.slope * lo
             c1 = seg.slope
-            P = (prods.us - c0 * prods.uv) - b
-            D = prods.ud - c1 * prods.uv
             q = np.zeros(len(arc.s))
             h = np.zeros(len(arc.s))
             sup = seg.support
             q[sup] = arc.s[sup] - c0 * seg.signs * arc.w[sup]
             h[sup] = arc.d[sup] - c1 * seg.signs * arc.w[sup]
-        # On the segment f = const + a*a1 + 0.5*a^2*a2.
-        a2 = float(D @ D) + mu * float(h @ h)
-        a1 = float(P @ D) + mu * float(q @ h) + float(c @ h)
-        if a2 > 0:
-            a_min = -a1 / a2
-            if a_min < lo and lo > 0:
-                alpha = lo  # the objective turned upward at this breakpoint
-                break
-            if lo <= a_min < hi:
-                alpha = a_min
-                break
+            ray = RayObjective(problem, q, h,
+                               r=(prods.us - c0 * prods.uv) - problem.b,
+                               ad=prods.ud - c1 * prods.uv)
+        a_min = ray.minimizer(ray.c1)  # inf unless the segment is convex
+        if a_min < lo and lo > 0:
+            alpha = lo  # the objective turned upward at this breakpoint
+            break
+        if lo <= a_min < hi:
+            alpha = a_min
+            break
         if not np.isfinite(hi):
             # The last segment: a convex f rising from lo, or a linear one.
-            alpha = lo if a2 > 0 or a1 >= 0 else lo + max(1.0, abs(lo))
+            alpha = lo if ray.c2 > 0 or ray.c1 >= 0 else lo + max(1.0, abs(lo))
             break
     if alpha <= 0:
         return SearchResult("failed")
-    res = _accept(problem, iterate, arc.point_at(alpha), alpha,
-                  history.maximum(), 1)
+    res = _accept(problem, iterate, arc.point_at(alpha), alpha, fmax, 1)
     return res or SearchResult("failed")

@@ -61,12 +61,14 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Operator backed by a dense ndarray."""
+    """Operator backed by a dense ndarray of finite entries."""
 
     def __init__(self, a: NDArray):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2:
             raise DimensionMismatchError("dense operator requires a 2-d array")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("A has a non-finite entry")
         self.a = a
         super().__init__(
             a.shape,
@@ -123,17 +125,26 @@ class LassoProblem:
 
 @dataclass
 class Iterate:
-    """Point with cached residual r = Ax - b, gradient and value.
+    """Point with its residual r = Ax - b and value f.
 
-    Its face is classified on first read: the projected-gradient method never
-    reads one.
+    The gradient is formed on first read, so a rejected trial point never
+    pays for an adjoint product.  The face is classified on first read too:
+    the projected-gradient method never reads one.
     """
 
     x: NDArray
     r: NDArray
-    g: NDArray
     f: float
     problem: LassoProblem
+
+    @cached_property
+    def g(self) -> NDArray:
+        """A'r + mu*x + c."""
+        p = self.problem
+        g = p.op.apply_adjoint(self.r) + p.c
+        if p.mu > 0:
+            g = g + p.mu * self.x
+        return g
 
     @cached_property
     def face(self) -> FaceId | None:
@@ -153,26 +164,24 @@ def objective_value(problem: LassoProblem, x: NDArray,
 
 
 def evaluate(problem: LassoProblem, x: NDArray, r: NDArray | None = None) -> Iterate:
-    """Full iterate at x: residual, gradient A'r + mu*x + c and value."""
+    """Iterate at x: residual and value; one forward product unless r is given."""
     x = np.asarray(x, dtype=float)
     f, r = objective_value(problem, x, r)
-    g = problem.op.apply_adjoint(r) + problem.c
-    if problem.mu > 0:
-        g = g + problem.mu * x
-    return Iterate(x=x, r=r, g=g, f=f, problem=problem)
+    return Iterate(x=x, r=r, f=f, problem=problem)
 
 
 class RayObjective:
-    """Objective along x + alpha*d, O(1) per alpha after one forward product.
+    """Objective along x + alpha*d: f = c0 + alpha*c1 + alpha^2*c2.
 
-    `ad` keeps that product A d, so the residual at x + alpha*d is
-    r + alpha*ad.
+    Every line search reads its step from here.  `ad` is the product A d,
+    formed here unless given, so the residual at x + alpha*d is r + alpha*ad;
+    r = Ax - b is formed unless given.
     """
 
     def __init__(self, problem: LassoProblem, x: NDArray, d: NDArray,
-                 r: NDArray | None = None):
+                 r: NDArray | None = None, ad: NDArray | None = None):
         self.c0, r = objective_value(problem, x, r)
-        self.ad = ad = problem.op.apply(d)
+        self.ad = ad = problem.op.apply(d) if ad is None else ad
         mu = problem.mu
         self.c2 = 0.5 * (float(ad @ ad) + mu * float(d @ d))
         self.c1 = float(r @ ad) + mu * float(x @ d) + float(problem.c @ d)
@@ -182,6 +191,10 @@ class RayObjective:
 
     def derivative(self, alpha: float) -> float:
         return self.c1 + 2.0 * alpha * self.c2
+
+    def minimizer(self, slope: float) -> float:
+        """Minimizer -slope/(2*c2) given the slope at alpha = 0; inf when c2 <= 0."""
+        return -slope / (2.0 * self.c2) if self.c2 > 0 else np.inf
 
 
 @dataclass
@@ -200,5 +213,9 @@ class SolverOptions:
     def __post_init__(self):
         if not self.opt_tol >= 0:  # also rejects NaN, which no gap satisfies
             raise ValueError(f"opt_tol must be nonnegative, got {self.opt_tol!r}")
+        if self.max_iter is not None and not (
+                isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
+            raise ValueError(
+                f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
         if self.line_search_mode not in ("backtracking", "trajectory"):
             raise ValueError(f"unknown line_search_mode {self.line_search_mode!r}")

@@ -73,6 +73,11 @@ def solve_bpdn(
     start = time.perf_counter()
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
+    if not root_tol > 0:  # also rejects NaN, which no misfit satisfies
+        raise ValueError(f"root_tol must be positive, got {root_tol!r}")
+    if max_subproblems < 0:
+        raise ValueError(
+            f"max_subproblems must be nonnegative, got {max_subproblems!r}")
     if solver not in ("spg", "hybrid"):
         raise ValueError(f"unknown solver {solver!r}")
     options = options or SolverOptions()

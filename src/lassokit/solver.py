@@ -23,7 +23,6 @@ from .ball import FaceId, in_self_projection_cone, max_step_on_face, project
 from .duality import StoppingOracle
 from .facebasis import FaceBasis, apply_basis, apply_basis_adjoint, basis_init
 from .linesearch import (
-    HistoryBuffer,
     SearchResult,
     bb_step,
     face_wolfe_search,
@@ -107,13 +106,13 @@ def _initial_bb(g: NDArray) -> float:
 
 
 def _pg_search(problem: LassoProblem, it: Iterate, alpha_bb: float,
-               history: HistoryBuffer, options: SolverOptions) -> SearchResult:
+               fmax: float, options: SolverOptions) -> SearchResult:
     if options.line_search_mode == "trajectory":
         arc = enumerate_arc(it.x, -alpha_bb * it.g, problem.w, problem.tau)
-        res = trajectory_search(problem, it, arc, history)
+        res = trajectory_search(problem, it, arc, fmax)
         if res.status != "failed":
             return res
-    return nonmonotone_armijo_backtrack(problem, it, alpha_bb, history)
+    return nonmonotone_armijo_backtrack(problem, it, alpha_bb, fmax)
 
 
 def spg_solve(
@@ -162,8 +161,7 @@ def _solve(
     x, _ = project(np.asarray(x0, dtype=float), problem.w, problem.tau)
     it = evaluate(problem, x)
     oracle = StoppingOracle(problem, options.opt_tol)
-    history = HistoryBuffer(HISTORY_LEN)
-    history.push(it.f)
+    history: deque[float] = deque([it.f], maxlen=HISTORY_LEN)
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
     r_updated = False  # it.r came from a step's update r + a*A d, not from A x - b
@@ -180,20 +178,14 @@ def _solve(
                 else face.support,
             ))
 
-    if oracle.update(it):
-        record(0, "init")
-        return SolverReport(x=it.x, r=it.r, f=it.f, gap=oracle.gap,
-                            lam=oracle.lambda_best, status=STATUS_OPTIMAL,
-                            iterations=0, qn_steps=0, pg_steps=0,
-                            time_sec=time.perf_counter() - start, trace=trace)
+    done = oracle.update(it)
     record(0, "init")
-
     alpha_bb = _initial_bb(it.g)
     model: LbfgsModel | None = None
     basis: FaceBasis | None = None
 
     iteration = 0
-    while iteration < max_iter:
+    while not done and iteration < max_iter:
         iteration += 1
         prev = it
         kind = "pg"
@@ -207,7 +199,8 @@ def _solve(
                 res = face_wolfe_search(problem, it, d, bound)
                 if res.status == "accepted":
                     it = res.iterate
-                    history.reset(it.f)
+                    history.clear()
+                    history.append(it.f)
                     qn_steps += 1
                     kind = "qn"
                     stepped = r_updated = True
@@ -215,19 +208,15 @@ def _solve(
                 model = None  # model step rejected; fall back to gradient
 
         if not stepped:
-            res = _pg_search(problem, it, alpha_bb, history, options)
-            if res.status == "stationary":
-                # The projected path makes no progress: x is stationary.
-                done = oracle.update(it)
-                status = STATUS_OPTIMAL if done else STATUS_LINESEARCH_FAILURE
-                record(iteration, "pg")
-                break
-            if res.status == "failed":
+            res = _pg_search(problem, it, alpha_bb, max(history), options)
+            if res.status != "accepted":
+                # Failed, or stationary: no move from an iterate the oracle
+                # has already rejected, so either way the run is stuck.
                 status = STATUS_LINESEARCH_FAILURE
                 record(iteration, "pg")
                 break
             it = res.iterate
-            history.push(it.f)
+            history.append(it.f)
             pg_steps += 1
             r_updated = res.trials > 1  # a backtracked trial's r is r + lam*A d
 
@@ -237,13 +226,11 @@ def _solve(
 
         done = oracle.update(it)
         record(iteration, kind)
-        if done:
-            status = STATUS_OPTIMAL
-            break
-
-        if hybrid:
+        if hybrid and not done:
             model, basis = _maintain_model(problem, prev, it, model, basis, s, y)
 
+    if done:
+        status = STATUS_OPTIMAL
     # Updated residuals drift by rounding; report the exact f and r at x.
     f, r = objective_value(problem, it.x) if r_updated else (it.f, it.r)
     return SolverReport(

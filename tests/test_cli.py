@@ -107,6 +107,7 @@ def test_missing_b_manifest(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, mode, bad", [
     ("solve", "tau", "b"), ("root", "sigma", "b"), ("root", "sigma", "sigma"),
+    ("solve", "tau", "A"), ("root", "sigma", "A"),
 ])
 def test_non_finite_data_exits_bad_input(tmp_path, capsys, command, mode, bad):
     out = _gen(tmp_path, "--mode", mode)
@@ -116,6 +117,10 @@ def test_non_finite_data_exits_bad_input(tmp_path, capsys, command, mode, bad):
         b = lio.read_vector(str(out / "b.txt"))
         b[3] = np.nan
         lio.write_vector(str(out / "b.txt"), b)
+    elif bad == "A":
+        a = lio.read_matrix_market_array(str(out / "A.mtx"))
+        a[2, 5] = np.nan
+        lio.write_matrix_market_array(str(out / "A.mtx"), a)
     else:
         lines = [ln for ln in manifest.read_text().splitlines()
                  if not ln.startswith(bad)]
@@ -204,6 +209,16 @@ def test_bad_tolerance_exits_bad_input(tmp_path, capsys, command, mode, tol):
     out = _gen(tmp_path, "--mode", mode)
     capsys.readouterr()
     code = main([command, "--manifest", str(out / "manifest.txt"), "--tol", tol])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, mode", [("solve", "tau"), ("root", "sigma")])
+def test_negative_max_iter_exits_bad_input(tmp_path, capsys, command, mode):
+    out = _gen(tmp_path, "--mode", mode)
+    capsys.readouterr()
+    code = main([command, "--manifest", str(out / "manifest.txt"),
+                 "--max-iter", "-1"])
     assert code == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error:")
 

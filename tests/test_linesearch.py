@@ -9,7 +9,6 @@ from lassokit.linesearch import (
     MAX_BACKTRACKS,
     RECOMPUTE_EVERY,
     SUFF_DECREASE,
-    HistoryBuffer,
     UnboundedRayError,
     alpha_opt,
     bb_step,
@@ -36,22 +35,6 @@ def _clamp_problem(tau=1.0):
     # min 0.5*(x - 2)^2 over |x| <= tau
     return LassoProblem(op=DenseOperator(np.array([[1.0]])), b=np.array([2.0]),
                         tau=tau)
-
-
-def test_history_buffer():
-    h = HistoryBuffer(3)
-    with pytest.raises(ValueError):
-        h.maximum()
-    for f in (1.0, 5.0, 2.0):
-        h.push(f)
-    assert h.maximum() == 5.0
-    h.push(0.5)  # evicts 1.0
-    assert h.maximum() == 5.0
-    h.push(0.1)  # evicts 5.0
-    assert h.maximum() == 2.0
-    h.reset(7.0)
-    assert len(h) == 1
-    assert h.maximum() == 7.0
 
 
 def test_bb_step_cases():
@@ -126,18 +109,14 @@ def test_wolfe_window_membership():
 def test_backtrack_stationary_at_clamp_optimum():
     p = _clamp_problem()
     it = evaluate(p, np.array([1.0]))
-    h = HistoryBuffer(10)
-    h.push(it.f)
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, it.f)
     assert res.status == "stationary"
 
 
 def test_backtrack_accepts_descent():
     p = _clamp_problem()
     it = evaluate(p, np.zeros(1))
-    h = HistoryBuffer(10)
-    h.push(it.f)
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, it.f)
     assert res.status == "accepted"
     assert res.iterate.f < it.f
     assert abs(res.iterate.x[0]) <= 1.0 + 1e-12
@@ -146,9 +125,8 @@ def test_backtrack_accepts_descent():
 def test_backtrack_exhausts_budget():
     p = _clamp_problem()
     it = evaluate(p, np.zeros(1))
-    h = HistoryBuffer(10)
-    h.push(-10.0)  # unattainable target forces every trial to fail
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    # An unattainable target forces every trial to fail.
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, -10.0)
     assert res.status == "failed"
     assert res.trials == MAX_BACKTRACKS
 
@@ -172,12 +150,13 @@ def _segment_setup():
                      b=rng.normal(size=12), tau=1.0, mu=0.1)
     x, _ = project(rng.normal(size=20), p.w, p.tau)
     it = evaluate(p, x)
-    h = HistoryBuffer(10)
-    h.push(it.f)
-    return a, p, it, h, counts
+    it.g  # the gradient the search reads, formed before any count
+    return a, p, it, counts
 
 
 def test_backtrack_projects_once_with_one_forward_product(monkeypatch):
+    # The first trial is rejected and the second accepted: A x1 is the only
+    # product, and no trial forms a gradient until the caller reads it.
     calls = [0]
 
     def counted(*args):
@@ -185,30 +164,32 @@ def test_backtrack_projects_once_with_one_forward_product(monkeypatch):
         return project(*args)
 
     monkeypatch.setattr(linesearch_module, "project", counted)
-    _, p, it, h, counts = _segment_setup()
+    _, p, it, counts = _segment_setup()
     counts.update(fwd=0, adj=0)
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, it.f)
     assert res.status == "accepted" and res.trials == 2
     assert calls[0] == 1
-    assert counts == {"fwd": 1, "adj": 1}  # A x1, then the accepted gradient
+    assert counts == {"fwd": 1, "adj": 0}
+    res.iterate.g
+    assert counts == {"fwd": 1, "adj": 1}
     # A search that exhausts its budget still projects once.
     calls[0] = 0
     clamp = _clamp_problem()
-    h.reset(-10.0)
-    res = nonmonotone_armijo_backtrack(clamp, evaluate(clamp, np.zeros(1)), 1.0, h)
+    res = nonmonotone_armijo_backtrack(clamp, evaluate(clamp, np.zeros(1)), 1.0,
+                                       -10.0)
     assert res.trials == MAX_BACKTRACKS
     assert calls[0] == 1
 
 
 def test_backtrack_takes_the_segment_minimizer():
-    a, p, it, h, _ = _segment_setup()
+    a, p, it, _ = _segment_setup()
     x1, _ = project(it.x - it.g, p.w, p.tau)
     d = x1 - it.x
-    assert objective_value(p, x1)[0] > h.maximum() + SUFF_DECREASE * float(it.g @ d)
+    assert objective_value(p, x1)[0] > it.f + SUFF_DECREASE * float(it.g @ d)
     ad = a @ d
     lam_star = -float(it.g @ d) / (float(ad @ ad) + p.mu * float(d @ d))
     assert 0.1 <= lam_star <= 0.9
-    res = nonmonotone_armijo_backtrack(p, it, 1.0, h)
+    res = nonmonotone_armijo_backtrack(p, it, 1.0, it.f)
     assert res.status == "accepted" and res.trials == 2
     assert res.alpha == pytest.approx(lam_star, rel=1e-12)
     f = res.iterate.f
@@ -232,11 +213,17 @@ def test_face_wolfe_search_cases():
     res = face_wolfe_search(p, it, d, 0.05)
     assert res.status == "failed"  # cap below the curvature threshold
     assert face_wolfe_search(p, it, -d, np.inf).status == "failed"
+    # A descent ray with no curvature has no minimizer, capped or not.
+    flat = LassoProblem(op=DenseOperator(np.array([[1.0, 0.0]])), b=np.zeros(1),
+                        tau=10.0, c=np.array([0.0, -1.0]))
+    it = evaluate(flat, np.zeros(2))
+    for bound in (np.inf, 1.0):
+        assert face_wolfe_search(flat, it, np.array([0.0, 1.0]), bound).status == "failed"
 
 
 def test_face_wolfe_search_reuses_ray_product():
     # The accepted iterate's residual is r + a*A d: one forward product (A d)
-    # and one adjoint (its gradient) per step, with r still A x - b.
+    # per step, with r still A x - b, and one adjoint once its gradient is read.
     rng = np.random.default_rng(9)
     a = rng.normal(size=(12, 20))
     counts = {"fwd": 0, "adj": 0}
@@ -252,9 +239,12 @@ def test_face_wolfe_search_reuses_ray_product():
     p = LassoProblem(op=LinearOperator(a.shape, forward, adjoint),
                      b=rng.normal(size=12), tau=1e3)
     it = evaluate(p, 0.1 * rng.normal(size=20))
+    d = -it.g
     counts.update(fwd=0, adj=0)
-    res = face_wolfe_search(p, it, -it.g, np.inf)
+    res = face_wolfe_search(p, it, d, np.inf)
     assert res.status == "accepted"
+    assert counts == {"fwd": 1, "adj": 0}
+    res.iterate.g
     assert counts == {"fwd": 1, "adj": 1}
     exact = a @ res.iterate.x - p.b
     assert np.linalg.norm(res.iterate.r - exact) <= 1e-12 * np.linalg.norm(exact)
@@ -266,9 +256,7 @@ def _traj_setup(rng, tau):
     x, _ = project(rng.normal(size=5), p.w, tau)
     it = evaluate(p, x)
     arc = enumerate_arc(x, -it.g, p.w, tau)
-    h = HistoryBuffer(10)
-    h.push(it.f)
-    return p, it, arc, h
+    return p, it, arc
 
 
 def test_trajectory_search_stops_at_first_local_minimum():
@@ -277,8 +265,8 @@ def test_trajectory_search_stops_at_first_local_minimum():
     rng = np.random.default_rng(2)
     checked = 0
     for _ in range(10):
-        p, it, arc, h = _traj_setup(rng, tau=1.0)
-        res = trajectory_search(p, it, arc, h)
+        p, it, arc = _traj_setup(rng, tau=1.0)
+        res = trajectory_search(p, it, arc, it.f)
         if res.status != "accepted":
             continue
         f = res.iterate.f
@@ -294,8 +282,8 @@ def test_trajectory_search_stops_at_first_local_minimum():
 def test_trajectory_interior_segment_is_exact_ray_minimizer():
     rng = np.random.default_rng(3)
     # Huge radius: the whole trajectory is the unprojected ray.
-    p, it, arc, h = _traj_setup(rng, tau=1e6)
-    res = trajectory_search(p, it, arc, h)
+    p, it, arc = _traj_setup(rng, tau=1e6)
+    res = trajectory_search(p, it, arc, it.f)
     assert res.status == "accepted"
     a_star = alpha_opt(p, it, -it.g)
     assert res.alpha == pytest.approx(a_star, rel=1e-10)
@@ -317,10 +305,8 @@ def test_trajectory_search_forms_ray_product_once():
                      b=np.array([-1.0, 1.0, -1.0, 1.0, 1.0]), tau=1e6)
     it = evaluate(p, np.array([1.0, -2.0, 3.0, -4.0, 0.5]))
     arc = enumerate_arc(it.x, -it.g, p.w, p.tau)
-    h = HistoryBuffer(10)
-    h.push(it.f)
     forwards[0] = 0
-    res = trajectory_search(p, it, arc, h)
+    res = trajectory_search(p, it, arc, it.f)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(1.0)
     assert [seg.inside for seg in arc.segments[:5]] == [True] * 5
@@ -332,8 +318,8 @@ def test_trajectory_search_walks_only_what_it_reads(monkeypatch):
     # arc unwalked.
     walked = []
 
-    def spy(problem, it, arc, history):
-        res = trajectory_search(problem, it, arc, history)
+    def spy(problem, it, arc, fmax):
+        res = trajectory_search(problem, it, arc, fmax)
         walked.append((len(arc._segments), len(arc.segments)))
         return res
 

@@ -71,6 +71,13 @@ def test_problem_rejects_non_finite_data():
         with pytest.raises(ValueError, match="finite"):
             LassoProblem(op=DenseOperator(a), b=np.ones(3), tau=tau, mu=mu)
 
+    # One bad entry in A would make every objective and gap NaN.
+    for bad in (np.nan, np.inf, -np.inf):
+        a_bad = a.copy()
+        a_bad[1, 0] = bad
+        with pytest.raises(ValueError, match="A has a non-finite entry"):
+            DenseOperator(a_bad)
+
 
 def test_objective_and_gradient_finite_differences():
     rng = np.random.default_rng(0)
@@ -95,6 +102,28 @@ def test_evaluate_face_classification():
     assert evaluate(p, np.zeros(4)).face.kind == "interior"
     x = np.array([1.0, 0.0, 0.0, 0.0])
     assert evaluate(p, x).face.kind == "proper"
+
+
+def test_ray_objective_reuses_a_given_product():
+    # Given A d, the ray makes no forward product and has the same quadratic.
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(6, 4))
+    forwards = [0]
+
+    def forward(x):
+        forwards[0] += 1
+        return a @ x
+
+    p = LassoProblem(op=LinearOperator(a.shape, forward, lambda y: a.T @ y),
+                     b=rng.normal(size=6), tau=5.0, mu=0.2, c=rng.normal(size=4))
+    x, d = 0.1 * rng.normal(size=4), rng.normal(size=4)
+    r = a @ x - p.b
+    built = RayObjective(p, x, d, r=r)
+    forwards[0] = 0
+    given = RayObjective(p, x, d, r=r, ad=a @ d)
+    assert forwards[0] == 0
+    assert (given.c0, given.c1, given.c2) == (built.c0, built.c1, built.c2)
+    assert given.minimizer(given.c1) == -built.c1 / (2.0 * built.c2)
 
 
 def test_ray_objective_matches_direct():
@@ -134,3 +163,9 @@ def test_solver_options_validation():
     for tol in (float("nan"), -1.0, -1e-12):
         with pytest.raises(ValueError):
             SolverOptions(opt_tol=tol)
+    # A negative limit used to end at iter_limit after 0 iterations.
+    SolverOptions(max_iter=0)
+    SolverOptions(max_iter=np.int64(7))
+    for bad in (-1, -3, 2.5, float("nan"), "10"):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverOptions(max_iter=bad)

@@ -49,6 +49,17 @@ def test_negative_sigma_raises():
         solve_bpdn(p, sigma=float("nan"))
 
 
+def test_bad_root_tolerance_or_budget_raises():
+    # Each used to spend the whole budget, or report it spent after none.
+    p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.ones(2), tau=0.0)
+    for tol in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="root_tol"):
+            solve_bpdn(p, sigma=0.5, root_tol=tol)
+    with pytest.raises(ValueError, match="max_subproblems"):
+        solve_bpdn(p, sigma=0.5, max_subproblems=-2)
+    assert solve_bpdn(p, sigma=0.5, max_subproblems=0).subproblems == 0
+
+
 def test_unknown_solver_raises():
     p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.ones(2), tau=0.0)
     with pytest.raises(ValueError, match="unknown solver"):

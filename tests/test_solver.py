@@ -20,8 +20,10 @@ from lassokit.model import (
     objective_value,
 )
 from lassokit.probgen import GeneratorSpec, gen_instance
+from lassokit.linesearch import SearchResult
 from lassokit.solver import (
     STATUS_ITER_LIMIT,
+    STATUS_LINESEARCH_FAILURE,
     STATUS_OPTIMAL,
     LbfgsModel,
     hybrid_solve,
@@ -166,16 +168,18 @@ def _counted_gaussian(seed):
     return a, p, counts
 
 
-def test_one_adjoint_product_per_iteration():
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_one_adjoint_product_per_iteration(solve):
     # The gap check reads A'(b - Ax) off the iterate's gradient, so the
-    # only adjoint products are those of the evaluations.
+    # only adjoint products are the gradients of the accepted iterates.
     _, p, counts = _counted_gaussian(8)
-    report = spg_solve(p)
+    report = solve(p)
     assert report.status == STATUS_OPTIMAL
     assert report.iterations > 0
     assert counts["adj"] == report.iterations + 1
 
     it = evaluate(p, report.x)
+    it.g
     before = counts["adj"]
     StoppingOracle(p, 1e-6).update(it)
     assert counts["adj"] == before
@@ -292,7 +296,8 @@ def test_cone_test_runs_only_on_a_kept_face(monkeypatch):
     assert sum(kept) == cone_calls[0]
 
 
-def test_trajectory_mode_solves():
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_trajectory_mode_solves(solve):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(32, 64))
     a /= np.linalg.norm(a, axis=0)
@@ -300,9 +305,24 @@ def test_trajectory_mode_solves():
     x0[rng.choice(64, 6, replace=False)] = 1.0
     p = LassoProblem(op=DenseOperator(a), b=a @ x0,
                      tau=0.99 * float(np.sum(np.abs(x0))))
-    report = hybrid_solve(p, options=SolverOptions(line_search_mode="trajectory"))
+    report = solve(p, options=SolverOptions(line_search_mode="trajectory"))
     assert report.status == STATUS_OPTIMAL
     assert report.gap <= 1e-6
+
+
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_stationary_search_ends_linesearch_failure(solve, monkeypatch):
+    # A search makes no move only from an iterate the oracle has rejected,
+    # so the run cannot certify it either and stops as a failure.
+    def stuck(problem, it, alpha0, fmax):
+        return SearchResult("stationary", it, 0.0, 1)
+
+    monkeypatch.setattr(solver_module, "nonmonotone_armijo_backtrack", stuck)
+    _, p, _ = _counted_gaussian(8)
+    report = solve(p)
+    assert report.status == STATUS_LINESEARCH_FAILURE
+    assert report.iterations == 1
+    assert np.array_equal(report.x, np.zeros(64))
 
 
 def test_matches_small_oracle():
