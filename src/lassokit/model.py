@@ -175,16 +175,22 @@ class RayObjective:
 
     Every line search reads its step from here.  `ad` is the product A d,
     formed here unless given, so the residual at x + alpha*d is r + alpha*ad;
-    r = Ax - b is formed unless given.
+    r = Ax - b is formed unless given.  No search reads c0 = f(x), so it is
+    formed on first read.
     """
 
     def __init__(self, problem: LassoProblem, x: NDArray, d: NDArray,
                  r: NDArray | None = None, ad: NDArray | None = None):
-        self.c0, r = objective_value(problem, x, r)
+        self._problem, self._x = problem, x
+        self._r = r = problem.op.apply(x) - problem.b if r is None else r
         self.ad = ad = problem.op.apply(d) if ad is None else ad
         mu = problem.mu
         self.c2 = 0.5 * (float(ad @ ad) + mu * float(d @ d))
         self.c1 = float(r @ ad) + mu * float(x @ d) + float(problem.c @ d)
+
+    @cached_property
+    def c0(self) -> float:
+        return objective_value(self._problem, self._x, self._r)[0]
 
     def __call__(self, alpha: float) -> float:
         return self.c0 + alpha * (self.c1 + alpha * self.c2)

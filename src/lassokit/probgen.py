@@ -88,6 +88,8 @@ class GeneratorSpec:
     sigma_mult: float = 0.01
 
     def __post_init__(self):
+        if self.m < 0 or self.n < 0:
+            raise ValueError(f"matrix sizes must be nonnegative, got m={self.m}, n={self.n}")
         if self.kind not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
         if self.dist not in SIGNAL_DISTS:

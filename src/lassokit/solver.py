@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .arc import enumerate_arc
-from .ball import FaceId, in_self_projection_cone, max_step_on_face, project
+from .ball import in_self_projection_cone, max_step_on_face, project
 from .duality import StoppingOracle
 from .facebasis import FaceBasis, apply_basis, apply_basis_adjoint, basis_init
 from .linesearch import (
@@ -68,15 +68,24 @@ class SolverReport:
 
 
 class LbfgsModel:
-    """Limited-memory quasi-Newton model in reduced face coordinates."""
+    """Limited-memory quasi-Newton model in the coordinates of a face basis.
 
-    def __init__(self, memory: int, h0: float):
+    `update` and `direction` take and return ambient vectors and reduce and
+    embed them here.  A basis of None is the identity: the interior region,
+    or plain coordinates.
+    """
+
+    def __init__(self, memory: int, h0: float, basis: FaceBasis | None = None):
         self.memory = memory
         self.h0 = h0
+        self.basis = basis
         self.pairs: deque[tuple[NDArray, NDArray, float]] = deque(maxlen=memory)
 
     def update(self, s: NDArray, y: NDArray) -> bool:
         """Store the pair when curvature s'y is safely positive."""
+        if self.basis is not None:
+            s = apply_basis_adjoint(self.basis, s)
+            y = apply_basis_adjoint(self.basis, y)
         sy = float(s @ y)
         if sy <= CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             return False
@@ -85,7 +94,7 @@ class LbfgsModel:
 
     def direction(self, g: NDArray) -> NDArray:
         """Two-loop recursion: -H g."""
-        q = g.copy()
+        q = g.copy() if self.basis is None else apply_basis_adjoint(self.basis, g)
         alphas = []
         for s, y, rho in reversed(self.pairs):
             a = rho * float(s @ q)
@@ -95,7 +104,7 @@ class LbfgsModel:
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             b = rho * float(y @ q)
             q += (a - b) * s
-        return -q
+        return -q if self.basis is None else apply_basis(self.basis, -q)
 
 
 def _initial_bb(g: NDArray) -> float:
@@ -129,21 +138,6 @@ def hybrid_solve(
     options: SolverOptions | None = None,
 ) -> SolverReport:
     return _solve(problem, x0, options, hybrid=True)
-
-
-def _face_basis_or_identity(face: FaceId, problem: LassoProblem) -> FaceBasis | None:
-    """None encodes the identity basis used for the interior region."""
-    if face.kind == "interior":
-        return None
-    return basis_init(face, problem.w, problem.shape[1])
-
-
-def _reduce(basis: FaceBasis | None, v: NDArray) -> NDArray:
-    return v.copy() if basis is None else apply_basis_adjoint(basis, v)
-
-
-def _embed(basis: FaceBasis | None, v: NDArray) -> NDArray:
-    return v.copy() if basis is None else apply_basis(basis, v)
 
 
 def _solve(
@@ -182,7 +176,6 @@ def _solve(
     record(0, "init")
     alpha_bb = _initial_bb(it.g)
     model: LbfgsModel | None = None
-    basis: FaceBasis | None = None
 
     iteration = 0
     while not done and iteration < max_iter:
@@ -192,8 +185,7 @@ def _solve(
 
         stepped = False
         if hybrid and model is not None and len(model.pairs) > 0:
-            g_red = _reduce(basis, it.g)
-            d = _embed(basis, model.direction(g_red))
+            d = model.direction(it.g)
             if float(it.g @ d) < 0:
                 bound = max_step_on_face(it.x, d, problem.w, problem.tau)
                 res = face_wolfe_search(problem, it, d, bound)
@@ -227,7 +219,7 @@ def _solve(
         done = oracle.update(it)
         record(iteration, kind)
         if hybrid and not done:
-            model, basis = _maintain_model(problem, prev, it, model, basis, s, y)
+            model = _maintain_model(problem, prev, it, model, s, y)
 
     if done:
         status = STATUS_OPTIMAL
@@ -245,10 +237,9 @@ def _maintain_model(
     prev: Iterate,
     it: Iterate,
     model: LbfgsModel | None,
-    basis: FaceBasis | None,
     s: NDArray,
     y: NDArray,
-) -> tuple[LbfgsModel | None, FaceBasis | None]:
+) -> LbfgsModel | None:
     """Keep, extend, or discard the face model after the step s from prev to it.
 
     A live model was built on prev's face, so it is kept only while the
@@ -256,15 +247,17 @@ def _maintain_model(
     """
     face = it.face
     if prev.face != face:
-        return None, None
+        return None
     usable = face is not None and (
         face.kind == "interior" or len(face.support) >= 2
     )
     if not (usable and in_self_projection_cone(
             it.x, -it.g, problem.w, problem.tau)):
-        return None, None
+        return None
     if model is None:
-        model = LbfgsModel(MEMORY, bb_step(s, y, ALPHA_MIN, ALPHA_MAX))
-        basis = _face_basis_or_identity(face, problem)
-    model.update(_reduce(basis, s), _reduce(basis, y))
-    return model, basis
+        model = LbfgsModel(
+            MEMORY, bb_step(s, y, ALPHA_MIN, ALPHA_MAX),
+            None if face.kind == "interior"
+            else basis_init(face, problem.w, problem.shape[1]))
+    model.update(s, y)
+    return model

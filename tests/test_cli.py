@@ -201,6 +201,9 @@ def test_bench_bad_config(tmp_path):
         cfg.write_text(json.dumps({"m": 8, "n": 10, "ks": [2],
                                    "instances": instances}))
         assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    # A negative matrix size passed validation and crashed mid-sweep.
+    cfg.write_text(json.dumps({"m": -3, "n": 10, "ks": [2], "instances": 1}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_BAD_INPUT
 
 
 @pytest.mark.parametrize("command, mode", [("solve", "tau"), ("root", "sigma")])
@@ -237,6 +240,9 @@ def test_gen_invalid_spec(tmp_path):
     assert code == EXIT_BAD_INPUT
     code = main(["gen", "--out", str(tmp_path / "x"), "--kind", "sphere_walk",
                  "--m", "1", "--n", "3", "--k", "1"])
+    assert code == EXIT_BAD_INPUT
+    code = main(["gen", "--out", str(tmp_path / "x"), "--m", "-3", "--n", "5",
+                 "--k", "1"])
     assert code == EXIT_BAD_INPUT
 
 

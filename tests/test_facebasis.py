@@ -9,6 +9,7 @@ from lassokit.facebasis import (
     basis_init,
     basis_to_dense,
 )
+from lassokit.solver import LbfgsModel
 
 
 def _random_face(rng, n, p):
@@ -30,16 +31,12 @@ def test_two_point_face_unit_weights():
 
 
 def test_three_point_face_unit_weights():
+    # Any orthonormal basis of the complement of (1, 1, 1) is valid, so check
+    # the projector Q Q^T rather than the columns.
     face = FaceId("proper", (1, 1, 1))
     dense = basis_to_dense(basis_init(face, np.ones(3), 3))
-    expect = np.array([
-        [-1.0 / np.sqrt(2.0), -1.0 / np.sqrt(6.0)],
-        [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(6.0)],
-        [0.0, 2.0 / np.sqrt(6.0)],
-    ])
-    for j in range(2):
-        col, ref = dense[:, j], expect[:, j]
-        assert np.allclose(col, ref) or np.allclose(col, -ref)
+    proj = np.eye(3) - np.ones((3, 3)) / 3.0
+    assert np.max(np.abs(dense @ dense.T - proj)) <= 1e-12
 
 
 def test_interior_and_vertex_raise():
@@ -103,3 +100,41 @@ def test_adjoint_annihilates_face_normal():
     for i in support:
         z[i] = face.signs[i] * w[i]
     assert np.max(np.abs(apply_basis_adjoint(basis, z))) < 1e-12
+
+
+def test_extreme_weights_stay_orthonormal():
+    # Weights spanning twelve decades on a face of 1500 vertices.
+    rng = np.random.default_rng(6)
+    n = 1500
+    w = 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+    signs = rng.choice([-1, 1], size=n)
+    basis = basis_init(FaceId("proper", tuple(signs)), w, n)
+    dense = basis_to_dense(basis)
+    assert np.max(np.abs(dense.T @ dense - np.eye(n - 1))) <= 1e-12
+    normal = signs * w
+    reduced = apply_basis_adjoint(basis, normal)
+    assert np.max(np.abs(reduced)) <= 1e-12 * np.linalg.norm(normal)
+
+
+def test_lbfgs_direction_is_basis_invariant():
+    # L-BFGS with a scalar initial matrix gives the same ambient direction in
+    # every orthonormal basis of the face: here the Householder basis and the
+    # dense QR basis of the vertex differences.
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        p = int(rng.integers(2, 61))
+        n = p + int(rng.integers(0, 20))
+        w = rng.uniform(0.2, 3.0, size=n)
+        face, support = _random_face(rng, n, p)
+        q_ref = dense_face_basis(support, face.signs[support], w, n)
+        h0 = float(rng.uniform(0.1, 2.0))
+        model = LbfgsModel(8, h0, basis_init(face, w, n))
+        ref = LbfgsModel(8, h0)
+        for _ in range(int(rng.integers(0, 9))):
+            s = q_ref @ rng.normal(size=p - 1)
+            y = s + 0.3 * rng.normal(size=n)
+            assert model.update(s, y) == ref.update(q_ref.T @ s, q_ref.T @ y)
+        g = rng.normal(size=n)
+        d = model.direction(g)
+        d_ref = q_ref @ ref.direction(q_ref.T @ g)
+        assert np.max(np.abs(d - d_ref)) <= 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lassokit import linesearch as linesearch_module
+from lassokit import model as model_module
 from lassokit import solver as solver_module
 from lassokit.arc import enumerate_arc
 from lassokit.ball import project
@@ -179,6 +180,26 @@ def test_backtrack_projects_once_with_one_forward_product(monkeypatch):
                                        -10.0)
     assert res.trials == MAX_BACKTRACKS
     assert calls[0] == 1
+
+
+def test_backtrack_evaluates_the_objective_once_per_trial(monkeypatch):
+    # The segment's RayObjective never forms f(x): the only objective values
+    # are the trials'.
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return objective_value(*args)
+
+    monkeypatch.setattr(model_module, "objective_value", counted)
+    _, p, it, _ = _segment_setup()
+    clamp = _clamp_problem()
+    for problem, start, fmax in ((p, it, it.f),
+                                 (clamp, evaluate(clamp, np.zeros(1)), -10.0)):
+        calls[0] = 0
+        res = nonmonotone_armijo_backtrack(problem, start, 1.0, fmax)
+        assert res.trials >= 2
+        assert calls[0] == res.trials
 
 
 def test_backtrack_takes_the_segment_minimizer():

@@ -47,6 +47,12 @@ def test_sphere_walk_invalid_gamma():
         gen_sphere_walk(10, 5, 2.5, make_rng(0))
 
 
+@pytest.mark.parametrize("m, n", [(-3, 5), (5, -3)])
+def test_negative_matrix_size_rejected(m, n):
+    with pytest.raises(ValueError, match="nonnegative"):
+        GeneratorSpec(m=m, n=n, k=0)
+
+
 def test_sphere_walk_needs_two_rows():
     # In one dimension no direction is orthogonal to the current column, so
     # the walk cannot take a step.
