@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import statistics
@@ -133,6 +134,7 @@ def cmd_root(args) -> int:
         "sigma": report.sigma,
         "subproblems": report.subproblems,
         "time_sec": report.time_sec,
+        "path": [dataclasses.asdict(state) for state in report.path],
     })
     return _STATUS_EXIT.get(report.status, EXIT_BUDGET)
 

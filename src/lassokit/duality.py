@@ -91,23 +91,28 @@ def best_certificate(problem: LassoProblem, iterate: Iterate) -> DualCertificate
     return certificate_augmented(problem, iterate)
 
 
+def gap_scale(f: float) -> float:
+    """Denominator of the relative gap: the absolute gap is relative * gap_scale(f)."""
+    return max(f, 1e-3)
+
+
 def relative_gap(f: float, dual_obj: float) -> float:
-    return max(f - dual_obj, 0.0) / max(f, 1e-3)
+    return max(f - dual_obj, 0.0) / gap_scale(f)
 
 
 @dataclass
 class BestPair:
-    """Best primal value and best dual bound seen so far."""
+    """Best primal point (x, its residual r, its value f) and best dual bound so far."""
 
     f: float = np.inf
     x: NDArray | None = None
+    r: NDArray | None = None
     dual_obj: float = -np.inf
     lam: float = 0.0
 
-    def update_primal(self, f: float, x: NDArray) -> None:
+    def update_primal(self, f: float, x: NDArray, r: NDArray) -> None:
         if f < self.f:
-            self.f = f
-            self.x = x
+            self.f, self.x, self.r = f, x, r
 
     def update_dual(self, cert: DualCertificate) -> None:
         if cert.objective > self.dual_obj:
@@ -129,7 +134,7 @@ class StoppingOracle:
 
     def update(self, iterate: Iterate) -> bool:
         cert = best_certificate(self.problem, iterate)
-        self.best.update_primal(iterate.f, iterate.x)
+        self.best.update_primal(iterate.f, iterate.x, iterate.r)
         self.best.update_dual(cert)
         return self.best.gap_relative <= self.opt_tol
 

@@ -4,10 +4,18 @@ The residual norm of the radius-tau solution is a convex, decreasing
 function of tau whose slope is -lam/||r|| with lam the optimal dual
 multiplier.  Solving the misfit-constrained problem reduces to a handful
 of radius-constrained subproblems driven by safeguarded Newton updates.
+
+As in SPGL1 (van den Berg & Friedlander, SIAM J. Sci. Comput. 31(2), 2008),
+each subproblem is solved only to a relative gap proportional to the last
+misfit's distance from sigma.  The gap a subproblem returns bounds its
+optimal misfit, and only a misfit certified to lie on one side of sigma
+moves the bracket around the root.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -15,11 +23,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ball import project
-from .duality import dual_weighted_inf_norm
+from .duality import dual_weighted_inf_norm, gap_scale
 from .model import LassoProblem, SolverOptions
 from .solver import STATUS_OPTIMAL, SolverReport, hybrid_solve, spg_solve
 
 ROOT_TOL = 1e-5
+KAPPA = 0.1  # subproblem gap tolerance per unit of relative misfit error
 MAX_SUBPROBLEMS = 100
 
 STATUS_CONVERGED = "converged"
@@ -34,6 +43,8 @@ class ParetoState:
     lam: float
     subproblem_status: str
     iterations: int
+    opt_tol: float  # relative gap the subproblem was asked for
+    gap: float  # relative gap it returned
 
 
 @dataclass
@@ -46,6 +57,46 @@ class RootReport:
     subproblems: int
     time_sec: float
     path: list[ParetoState] = field(default_factory=list)
+
+
+@dataclass
+class Bracket:
+    """Radii on either side of the root: misfit*(lo) > sigma > misfit*(hi)."""
+
+    lo: float = 0.0
+    hi: float = np.inf
+
+    def update(self, tau: float, low: float, high: float, sigma: float) -> None:
+        """Move an end only when [low, high], which holds misfit*(tau), lies
+        wholly on one side of sigma."""
+        if low > sigma:
+            self.lo = max(self.lo, tau)
+        elif high < sigma:
+            self.hi = min(self.hi, tau)
+
+    def safeguard(self, tau: float) -> float:
+        """tau when strictly inside, else the midpoint, or a doubling while
+        no radius is known to lie past the root."""
+        if self.lo < tau < self.hi:
+            return tau
+        return (0.5 * (self.lo + self.hi) if np.isfinite(self.hi)
+                else 2.0 * max(self.lo, 1.0))
+
+
+def misfit_interval(misfit: float, gap_abs: float,
+                    f_is_misfit: bool) -> tuple[float, float]:
+    """Interval holding the optimal misfit ||r*|| of a subproblem whose point
+    has misfit ||r|| and absolute gap gap_abs >= f - f*.
+
+    When f = 0.5||r||^2 (mu = 0, c = 0), ||r*||^2 >= ||r||^2 - 2 gap_abs and
+    ||r*|| <= ||r||.  Otherwise f - f* >= 0.5||A(x - x*)||^2 = 0.5||r - r*||^2
+    at the constrained minimizer x* of the quadratic, so ||r*|| lies within
+    sqrt(2 gap_abs) of ||r||.
+    """
+    if f_is_misfit:
+        return math.sqrt(max(misfit * misfit - 2.0 * gap_abs, 0.0)), misfit
+    radius = math.sqrt(2.0 * gap_abs)
+    return misfit - radius, misfit + radius
 
 
 def newton_tau_update(tau: float, misfit: float, sigma: float, lam: float) -> float:
@@ -66,9 +117,15 @@ def solve_bpdn(
     """Minimize the weighted one-norm subject to ||Ax - b|| <= sigma.
 
     `problem.tau` is ignored; each subproblem re-solves at the current
-    radius with a warm start projected from the previous solution.  An
-    optimal subproblem with multiplier 0 and a misfit above sigma proves
-    sigma unreachable and ends the run with STATUS_UNREACHABLE.
+    radius with a warm start projected from the previous solution, to the
+    relative gap max(opt_tol, min(0.1, 2*KAPPA*|misfit - sigma|/misfit)) of
+    the last misfit.  The run converges on a misfit within the root
+    tolerance of sigma that the subproblem's gap certifies: its optimal
+    misfit is within tolerance too (mu = 0, c = 0), or the gap is at most
+    opt_tol.  An uncertified misfit in that window, or multiplier 0 with a
+    misfit above sigma, is re-solved at the same radius to opt_tol; such a
+    solve with multiplier 0 proves sigma unreachable and ends the run with
+    STATUS_UNREACHABLE.
     """
     start = time.perf_counter()
     if not sigma >= 0:
@@ -85,6 +142,7 @@ def solve_bpdn(
     b = problem.b
     norm_b = float(np.linalg.norm(b))
     tol = root_tol * max(sigma, 1e-3)
+    f_is_misfit = problem.mu == 0 and not np.any(problem.c)
     path: list[ParetoState] = []
 
     if norm_b <= sigma + tol:
@@ -98,44 +156,48 @@ def solve_bpdn(
                                  problem.w)
     misfit = norm_b
     tau = 0.0
-    tau_lo, tau_hi = 0.0, np.inf  # misfit(tau_lo) > sigma > misfit(tau_hi)
+    bracket = Bracket()
     x = np.zeros(problem.shape[1])
-    path.append(ParetoState(tau, misfit, lam, STATUS_OPTIMAL, 0))
+    path.append(ParetoState(tau, misfit, lam, STATUS_OPTIMAL, 0,
+                            options.opt_tol, 0.0))
     status = STATUS_BUDGET
+    resolve = False  # solve the same radius again, to opt_tol
 
-    for k in range(max_subproblems):
-        if lam > 0:
-            tau_next = newton_tau_update(tau, misfit, sigma, lam)
+    for _ in range(max_subproblems):
+        if resolve:
+            sub_tol = options.opt_tol
         else:
-            tau_next = np.inf
-        if not (tau_lo < tau_next < tau_hi):
-            tau_next = (0.5 * (tau_lo + tau_hi) if np.isfinite(tau_hi)
-                        else 2.0 * max(tau_lo, 1.0))
-        tau = tau_next
+            # An uncertified misfit still steers Newton, as in SPGL1.
+            tau = bracket.safeguard(newton_tau_update(tau, misfit, sigma, lam)
+                                    if lam > 0 else np.inf)
+            sub_tol = max(options.opt_tol, min(
+                0.1, 2.0 * KAPPA * abs(misfit - sigma) / max(misfit, tol)))
         sub = LassoProblem(op=problem.op, b=b, tau=tau, w=problem.w,
                            mu=problem.mu, c=problem.c)
         x0, _ = project(x, sub.w, tau)
-        report: SolverReport = solve(sub, x0, options)
+        report: SolverReport = solve(
+            sub, x0, dataclasses.replace(options, opt_tol=sub_tol))
         x = report.x
         misfit = float(np.linalg.norm(report.r))
         lam = report.lam
         path.append(ParetoState(tau, misfit, lam, report.status,
-                                report.iterations))
-        if abs(misfit - sigma) <= tol:
+                                report.iterations, sub_tol, report.gap))
+        low, high = misfit_interval(
+            misfit, report.gap * gap_scale(report.f), f_is_misfit)
+        in_window = abs(misfit - sigma) <= tol
+        if in_window and (low >= sigma - tol if f_is_misfit
+                          else report.gap <= options.opt_tol):
             status = STATUS_CONVERGED
             break
-        # Only fully solved subproblems update the bracket: an inexact misfit
-        # can otherwise exclude the root from the bracket for good.
-        if report.status == STATUS_OPTIMAL:
-            if misfit > sigma:
-                if lam == 0:
-                    # The ball constraint is inactive: every larger radius has
-                    # this same solution, and every smaller one a larger misfit.
-                    status = STATUS_UNREACHABLE
-                    break
-                tau_lo = max(tau_lo, tau)
-            else:
-                tau_hi = min(tau_hi, tau)
+        # With lam = 0 the ball constraint is inactive: every larger radius
+        # has this same solution, and every smaller one a larger misfit.
+        inactive = misfit > sigma and lam == 0
+        loose = sub_tol > options.opt_tol
+        if inactive and not loose and report.status == STATUS_OPTIMAL:
+            status = STATUS_UNREACHABLE
+            break
+        resolve = loose and (in_window or inactive)
+        bracket.update(tau, low, high, sigma)
 
     return RootReport(x=x, tau=tau, misfit=misfit, sigma=sigma, status=status,
                       subproblems=len(path) - 1,

@@ -54,6 +54,8 @@ class TraceRecord:
 
 @dataclass
 class SolverReport:
+    """The best point seen (x, r and f come from it) with the best dual bound."""
+
     x: NDArray
     r: NDArray  # residual A x - b at x
     f: float
@@ -159,6 +161,7 @@ def _solve(
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
     r_updated = False  # it.r came from a step's update r + a*A d, not from A x - b
+    best_updated = False  # the same, for the best point the oracle holds
     status = STATUS_ITER_LIMIT
 
     def record(i: int, kind: str) -> None:
@@ -217,16 +220,20 @@ def _solve(
         alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
 
         done = oracle.update(it)
+        if oracle.best.x is it.x:  # it became the best point
+            best_updated = r_updated
         record(iteration, kind)
         if hybrid and not done:
             model = _maintain_model(problem, prev, it, model, s, y)
 
     if done:
         status = STATUS_OPTIMAL
-    # Updated residuals drift by rounding; report the exact f and r at x.
-    f, r = objective_value(problem, it.x) if r_updated else (it.f, it.r)
+    # Report the best point, whose f the gap reads.  An updated residual
+    # drifts by rounding, so then report the exact f and r at its x.
+    best = oracle.best
+    f, r = objective_value(problem, best.x) if best_updated else (best.f, best.r)
     return SolverReport(
-        x=it.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
+        x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start, trace=trace,
     )

@@ -81,6 +81,12 @@ def test_root_converges(tmp_path, capsys):
     assert record["status"] == "converged"
     rel = abs(record["misfit"] - record["sigma"]) / max(record["sigma"], 1e-3)
     assert rel <= 1e-5
+    # One path entry per subproblem, after the radius-zero point.
+    path = record["path"]
+    assert len(path) == record["subproblems"] + 1
+    assert path[0]["tau"] == 0
+    assert path[-1]["tau"] == record["tau"]
+    assert path[-1]["misfit"] == record["misfit"]
 
 
 def test_root_unreachable_sigma_exits_4(tmp_path, capsys):

@@ -213,9 +213,11 @@ def test_relative_gap_denominator():
 
 def test_best_pair_monotone():
     bp = BestPair()
-    bp.update_primal(5.0, np.zeros(1))
-    bp.update_primal(7.0, np.ones(1))  # worse primal ignored
+    bp.update_primal(5.0, np.zeros(1), np.full(2, 3.0))
+    bp.update_primal(7.0, np.ones(1), np.ones(2))  # worse primal ignored
     assert bp.f == 5.0
+    assert np.array_equal(bp.x, np.zeros(1))
+    assert np.array_equal(bp.r, np.full(2, 3.0))
     from lassokit.duality import DualCertificate
 
     bp.update_dual(DualCertificate(1.0, 2.0))

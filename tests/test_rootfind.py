@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from lassokit import rootfind
-from lassokit.model import DenseOperator, LassoProblem, LinearOperator
+from lassokit.duality import gap_scale
+from lassokit.model import DenseOperator, LassoProblem, LinearOperator, SolverOptions
 from lassokit.probgen import GeneratorSpec, gen_instance
 from lassokit.rootfind import (
     STATUS_CONVERGED,
     STATUS_UNREACHABLE,
+    Bracket,
+    misfit_interval,
     newton_tau_update,
     solve_bpdn,
 )
-from lassokit.solver import STATUS_OPTIMAL
+from lassokit.solver import STATUS_OPTIMAL, hybrid_solve, spg_solve
 
 
 def test_newton_update_fixed_point():
@@ -158,3 +161,52 @@ def test_root_run_forward_products_are_the_subproblems(monkeypatch, solver):
     assert in_solves[0] > 0
     assert forwards[0] == in_solves[0]
     assert report.misfit == float(np.linalg.norm(b - a @ report.x))
+
+
+def test_uncertified_misfit_leaves_the_bracket_alone():
+    bracket = Bracket(lo=1.0, hi=3.0)
+    bracket.update(2.0, 0.9, 1.1, sigma=1.0)  # the interval straddles sigma
+    assert (bracket.lo, bracket.hi) == (1.0, 3.0)
+    bracket.update(2.0, 1.0, 1.1, sigma=1.0)  # touching sigma is not above it
+    assert (bracket.lo, bracket.hi) == (1.0, 3.0)
+    bracket.update(2.5, 0.8, 0.95, sigma=1.0)  # certified below sigma
+    assert (bracket.lo, bracket.hi) == (1.0, 2.5)
+    bracket.update(1.5, 1.05, 1.2, sigma=1.0)  # certified above sigma
+    assert (bracket.lo, bracket.hi) == (1.5, 2.5)
+    assert bracket.safeguard(2.0) == 2.0
+    assert bracket.safeguard(2.5) == 2.0  # on an end: bisect
+    assert Bracket(lo=3.0).safeguard(np.inf) == 6.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-3])
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_loose_subproblem_interval_holds_the_optimal_misfit(mu, solve):
+    inst = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
+                                      gamma=0.1, k=10), 3)
+    p = inst.problem(mu=mu)
+    exact = solve(p, options=SolverOptions(opt_tol=1e-10))
+    r_star = float(np.linalg.norm(exact.r))
+    for opt_tol in (1e-1, 1e-2, 1e-3):
+        rep = solve(p, options=SolverOptions(opt_tol=opt_tol))
+        misfit = float(np.linalg.norm(rep.r))
+        low, high = misfit_interval(misfit, rep.gap * gap_scale(rep.f),
+                                    f_is_misfit=mu == 0)
+        assert low - 1e-9 <= r_star <= high + 1e-9
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+@pytest.mark.parametrize("seed", [17000, 17001, 17003])
+def test_ridge_root_runs_converge(seed, solver):
+    # Sphere-walk mu = 1e-3 runs that used to end at the subproblem budget:
+    # a subproblem solved to opt_tol misread its misfit by more than the
+    # root tolerance and moved the bracket past the root.
+    inst = gen_instance(GeneratorSpec(m=200, n=500, kind="sphere_walk",
+                                      gamma=0.1, k=20), seed)
+    report = solve_bpdn(inst.problem(mu=1e-3), inst.sigma, solver=solver)
+    assert report.status == STATUS_CONVERGED
+    assert report.subproblems <= 40
+    misfit = float(np.linalg.norm(inst.a @ report.x - inst.b))
+    assert abs(misfit - inst.sigma) <= 1e-5 * inst.sigma
+    assert report.path[0].tau == 0.0
+    assert all(s.gap <= s.opt_tol for s in report.path
+               if s.subproblem_status == STATUS_OPTIMAL)

@@ -243,6 +243,22 @@ def test_exact_report_after_backtracked_pg_step(monkeypatch):
     assert report.f == objective_value(p, report.x)[0]
 
 
+def test_report_is_the_best_point():
+    # The nonmonotone search lets f rise.  This solve stops at its iteration
+    # limit after a rise, and reports the best point, whose f the gap reads.
+    inst = gen_instance(GeneratorSpec(m=128, n=256, kind="sphere_walk",
+                                      gamma=0.05, k=10), 18009)
+    p = inst.problem()
+    report = spg_solve(p, options=SolverOptions(trace=True))
+    traced = [t.f for t in report.trace]
+    assert report.status == STATUS_ITER_LIMIT
+    assert traced[-1] > min(traced) * (1 + 1e-6)
+    assert report.f == pytest.approx(min(traced), rel=1e-12)
+    f, r = objective_value(p, report.x)
+    assert f == report.f
+    assert np.array_equal(r, report.r)
+
+
 def test_clamped_step_stays_in_the_ball():
     # A BB step clamped at its maximum projects x - 1e10*g; the solve must
     # stay within the feasibility slack with a zero tolerance.
