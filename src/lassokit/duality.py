@@ -102,17 +102,23 @@ def relative_gap(f: float, dual_obj: float) -> float:
 
 @dataclass
 class BestPair:
-    """Best primal point (x, its residual r, its value f) and best dual bound so far."""
+    """Best primal point (x, its residual r, its value f) and best dual bound so far.
+
+    `r_exact` is False when r came from a step's update r + a*A d rather than
+    from A x - b, so that it (and f) drift from x by rounding.
+    """
 
     f: float = np.inf
     x: NDArray | None = None
     r: NDArray | None = None
+    r_exact: bool = True
     dual_obj: float = -np.inf
     lam: float = 0.0
 
-    def update_primal(self, f: float, x: NDArray, r: NDArray) -> None:
+    def update_primal(self, f: float, x: NDArray, r: NDArray,
+                      r_exact: bool = True) -> None:
         if f < self.f:
-            self.f, self.x, self.r = f, x, r
+            self.f, self.x, self.r, self.r_exact = f, x, r, r_exact
 
     def update_dual(self, cert: DualCertificate) -> None:
         if cert.objective > self.dual_obj:
@@ -132,9 +138,9 @@ class StoppingOracle:
         self.opt_tol = opt_tol
         self.best = BestPair()
 
-    def update(self, iterate: Iterate) -> bool:
+    def update(self, iterate: Iterate, r_exact: bool = True) -> bool:
         cert = best_certificate(self.problem, iterate)
-        self.best.update_primal(iterate.f, iterate.x, iterate.r)
+        self.best.update_primal(iterate.f, iterate.x, iterate.r, r_exact)
         self.best.update_dual(cert)
         return self.best.gap_relative <= self.opt_tol
 

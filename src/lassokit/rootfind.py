@@ -120,11 +120,12 @@ def solve_bpdn(
     radius with a warm start projected from the previous solution, to the
     relative gap max(opt_tol, min(0.1, 2*KAPPA*|misfit - sigma|/misfit)) of
     the last misfit.  The run converges on a misfit within the root
-    tolerance of sigma that the subproblem's gap certifies: its optimal
-    misfit is within tolerance too (mu = 0, c = 0), or the gap is at most
-    opt_tol.  An uncertified misfit in that window, or multiplier 0 with a
-    misfit above sigma, is re-solved at the same radius to opt_tol; such a
-    solve with multiplier 0 proves sigma unreachable and ends the run with
+    tolerance of sigma from a subproblem solved to opt_tol (asked for it,
+    or met it), or from a looser one whose gap certifies an optimal misfit
+    of at least sigma - tol.  Any other misfit in that window, or
+    multiplier 0 with a misfit above sigma from a loose solve, is re-solved
+    at the same radius to opt_tol.  Multiplier 0 with a gap of at most
+    opt_tol proves sigma unreachable and ends the run with
     STATUS_UNREACHABLE.
     """
     start = time.perf_counter()
@@ -184,19 +185,22 @@ def solve_bpdn(
                                 report.iterations, sub_tol, report.gap))
         low, high = misfit_interval(
             misfit, report.gap * gap_scale(report.f), f_is_misfit)
+        # A solve asked for opt_tol, or one that met it anyway, is as exact
+        # as the options allow; a looser one is re-solved before it ends the
+        # run, unless its interval already puts the optimal misfit above
+        # sigma - tol.
+        exact = sub_tol <= options.opt_tol or report.gap <= options.opt_tol
         in_window = abs(misfit - sigma) <= tol
-        if in_window and (low >= sigma - tol if f_is_misfit
-                          else report.gap <= options.opt_tol):
+        if in_window and (exact or low >= sigma - tol):
             status = STATUS_CONVERGED
             break
         # With lam = 0 the ball constraint is inactive: every larger radius
         # has this same solution, and every smaller one a larger misfit.
         inactive = misfit > sigma and lam == 0
-        loose = sub_tol > options.opt_tol
-        if inactive and not loose and report.status == STATUS_OPTIMAL:
+        if inactive and report.gap <= options.opt_tol:
             status = STATUS_UNREACHABLE
             break
-        resolve = loose and (in_window or inactive)
+        resolve = not exact and (in_window or inactive)
         bracket.update(tau, low, high, sigma)
 
     return RootReport(x=x, tau=tau, misfit=misfit, sigma=sigma, status=status,

@@ -161,7 +161,6 @@ def _solve(
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
     r_updated = False  # it.r came from a step's update r + a*A d, not from A x - b
-    best_updated = False  # the same, for the best point the oracle holds
     status = STATUS_ITER_LIMIT
 
     def record(i: int, kind: str) -> None:
@@ -219,9 +218,7 @@ def _solve(
         y = it.g - prev.g
         alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
 
-        done = oracle.update(it)
-        if oracle.best.x is it.x:  # it became the best point
-            best_updated = r_updated
+        done = oracle.update(it, r_exact=not r_updated)
         record(iteration, kind)
         if hybrid and not done:
             model = _maintain_model(problem, prev, it, model, s, y)
@@ -231,7 +228,7 @@ def _solve(
     # Report the best point, whose f the gap reads.  An updated residual
     # drifts by rounding, so then report the exact f and r at its x.
     best = oracle.best
-    f, r = objective_value(problem, best.x) if best_updated else (best.f, best.r)
+    f, r = (best.f, best.r) if best.r_exact else objective_value(problem, best.x)
     return SolverReport(
         x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,

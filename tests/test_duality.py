@@ -218,6 +218,7 @@ def test_best_pair_monotone():
     assert bp.f == 5.0
     assert np.array_equal(bp.x, np.zeros(1))
     assert np.array_equal(bp.r, np.full(2, 3.0))
+    assert bp.r_exact
     from lassokit.duality import DualCertificate
 
     bp.update_dual(DualCertificate(1.0, 2.0))
@@ -225,6 +226,8 @@ def test_best_pair_monotone():
     assert bp.dual_obj == 2.0
     assert bp.lam == 1.0
     assert bp.gap_relative == pytest.approx(3.0 / 5.0)
+    bp.update_primal(4.0, np.ones(1), np.ones(2), r_exact=False)
+    assert (bp.f, bp.r_exact) == (4.0, False)
 
 
 def test_stopping_oracle_fires_at_optimum():

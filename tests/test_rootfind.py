@@ -127,6 +127,25 @@ def test_unreachable_sigma_has_its_own_status(solver):
 
 
 @pytest.mark.parametrize("solver", ["spg", "hybrid"])
+@pytest.mark.parametrize("mu, options", [
+    (0.0, SolverOptions(opt_tol=1e-3)),
+    (1e-3, SolverOptions(opt_tol=0.0, max_iter=300)),
+])
+def test_a_misfit_solved_to_opt_tol_ends_the_run(mu, options, solver):
+    # A misfit in the root window from a subproblem solved to the caller's
+    # opt_tol converges however loose that is; with opt_tol = 0 such a solve
+    # runs until its gap is 0 or max_iter is spent.
+    inst = gen_instance(GeneratorSpec(m=64, n=128), 1)
+    report = solve_bpdn(inst.problem(mu=mu), inst.sigma, options=options,
+                        solver=solver)
+    assert report.status == STATUS_CONVERGED
+    assert report.subproblems <= 20
+    assert report.path[-1].opt_tol == options.opt_tol
+    misfit = float(np.linalg.norm(inst.a @ report.x - inst.b))
+    assert abs(misfit - inst.sigma) <= 1e-5 * inst.sigma
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
 def test_root_run_forward_products_are_the_subproblems(monkeypatch, solver):
     # The misfit comes from each subproblem's residual: outside the
     # subproblem solves, a root run makes no forward product.
