@@ -156,6 +156,19 @@ def in_self_projection_cone(
     return True
 
 
+def first_sign_flip(x: NDArray, d: NDArray) -> float:
+    """Smallest alpha > 0 at which an entry of x + alpha*d reaches zero.
+
+    That is min(-x_i/d_i) over x_i*d_i < 0, or infinite when no entry
+    shrinks.  It is the face edge along a direction in the face's
+    difference hull, which keeps the weighted norm fixed.
+    """
+    mask = x * d < 0
+    if not np.any(mask):
+        return np.inf
+    return float(np.min(-x[mask] / d[mask]))
+
+
 def max_step_on_face(x: NDArray, d: NDArray, w: NDArray, tau: float) -> float:
     """Largest alpha with x + alpha*d still feasible, exact for face directions.
 
@@ -168,10 +181,7 @@ def max_step_on_face(x: NDArray, d: NDArray, w: NDArray, tau: float) -> float:
     # Permissive slack here: directions lying exactly in the face hull satisfy
     # the cone inequalities with equality and must take the sign-flip formula.
     if on_boundary and in_self_projection_cone(x, d, w, tau, slack=-CONE_SLACK):
-        mask = x * d < 0
-        if not np.any(mask):
-            return np.inf
-        return float(np.min(-x[mask] / d[mask]))
+        return first_sign_flip(x, d)
     # Walk the piecewise-linear norm alpha -> ||x + alpha*d||_{w,1} to the
     # first up-crossing of tau.
     if not np.any(d != 0):

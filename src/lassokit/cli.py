@@ -99,6 +99,8 @@ def cmd_solve(args) -> int:
         "iterations": report.iterations,
         "qn_steps": report.qn_steps,
         "pg_steps": report.pg_steps,
+        "face_phases": report.face_phases,
+        "phase_ends": report.phase_ends,
         "tau": problem.tau,
         "time_sec": report.time_sec,
     })

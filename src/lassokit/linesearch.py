@@ -22,7 +22,6 @@ BACKTRACK_FACTOR = 0.5
 INTERP_LO = 0.1
 INTERP_HI = 0.9
 MAX_BACKTRACKS = 50
-WOLFE_CURV = 0.9  # gamma_2
 
 
 class UnboundedRayError(RuntimeError):
@@ -130,27 +129,30 @@ def face_wolfe_search(
     d: NDArray,
     alpha_bound: float,
 ) -> SearchResult:
-    """One-shot Wolfe step along a face direction, capped at the face edge.
+    """Exact step along a face direction, capped at the face edge.
 
-    The unconstrained minimizer always satisfies both conditions; when it
-    exceeds the cap, the cap itself is taken if it still lies inside the
-    Wolfe window, otherwise the search reports failure.  The accepted
-    iterate's residual is r + a*A d, reusing the step length's product, so
-    a step costs one forward product; it drifts by rounding over a run of
-    such steps, and the solver recomputes it if it returns at one.
+    The step is the ray minimizer, which satisfies both Wolfe conditions, or
+    alpha_bound when that is smaller; a capped step is accepted too, and the
+    entries whose sign flip falls exactly at the cap are set to zero, so it
+    lands on the subface.  The accepted iterate's residual is r + a*A d,
+    reusing the step length's product, so a step costs one forward
+    product; it drifts by rounding over a run of such steps, and the solver
+    recomputes it if it returns at one.
     """
+    x = iterate.x
     gd = float(iterate.g @ d)
-    if gd >= 0:
+    if not gd < 0:  # also a NaN direction
         return SearchResult("failed")
-    ray = RayObjective(problem, iterate.x, d, r=iterate.r)
-    a = ray.minimizer(gd)  # inf on a flat ray, which fails below
-    if a > alpha_bound:
-        if alpha_bound < (1.0 - WOLFE_CURV) * a:
-            return SearchResult("failed")
-        a = alpha_bound
+    ray = RayObjective(problem, x, d, r=iterate.r)
+    a = min(ray.minimizer(gd), alpha_bound)  # inf on a flat uncapped ray
     if a <= 0 or not np.isfinite(a):
         return SearchResult("failed")
-    it = evaluate(problem, iterate.x + a * d, r=iterate.r + a * ray.ad)
+    xa = x + a * d
+    if a == alpha_bound:
+        flip = x * d < 0
+        flip[flip] = -x[flip] / d[flip] == a
+        xa[flip] = 0.0
+    it = evaluate(problem, xa, r=iterate.r + a * ray.ad)
     return SearchResult("accepted", it, a, 1)
 
 

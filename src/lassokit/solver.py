@@ -1,12 +1,32 @@
 """Projected-gradient and hybrid face/quasi-Newton solvers.
 
-The projected-gradient method takes Barzilai-Borwein steps, backtracking
-along the projected segment with a nonmonotone acceptance test.  The
-hybrid method additionally maintains a limited-memory quasi-Newton model in
-the coordinates of the current face whenever consecutive iterates share a
-face and the negative gradient points into that face's self-projection cone;
-model steps stay on the face (never growing its support) and use an exact
-Wolfe step for the quadratic objective.
+The projected-gradient (PG) method takes Barzilai-Borwein steps,
+backtracking along the projected segment with a nonmonotone acceptance test.
+
+The hybrid method alternates PG steps with face phases, as GPCG does for
+bound constraints (More & Toraldo, SIAM J. Optim. 1(1), 1991).  A face phase
+starts after any PG step that leaves the iterate on the same usable face as
+before: the interior, or a boundary face with at least two support entries.
+It runs a limited-memory quasi-Newton model in that face's coordinates,
+seeded with the PG step's pair and Barzilai-Borwein scaling h0.  Each face
+step goes to the exact minimizer of the objective along the model
+direction, capped at the face edge: the first sign flip on a boundary face,
+the sphere in the interior.  A capped step is accepted, lands exactly on the
+subface, and the phase continues there with a fresh model and the same h0,
+so face steps never grow the support.  The phase ends, and the next
+iteration is a PG step, when
+
+- `edge`: a capped step reaches a face that is not usable, a vertex;
+- `no_descent`: the model finds no step (its direction does not descend,
+  or an uncapped ray has no minimizer); or the step does not lower f and
+  does not shrink the duality gap to STALL_GAP_SHRINK of its value;
+- `stall`: the step lowers f by at most STALL_RATIO times the phase's
+  largest decrease, and does not shrink the gap to STALL_GAP_SHRINK of its
+  value;
+- `solve_end`: the solve stops during the phase.
+
+The gap guard keeps a phase going near the optimum, where f changes only by
+rounding but each step still cuts the gap.
 """
 
 from __future__ import annotations
@@ -19,7 +39,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .arc import enumerate_arc
-from .ball import in_self_projection_cone, max_step_on_face, project
+# No face phase runs the cone test, but perfbench/tracer.py binds
+# in_self_projection_cone at this module all the same.
+from .ball import (  # noqa: F401
+    FaceId,
+    first_sign_flip,
+    in_self_projection_cone,
+    max_step_on_face,
+    project,
+)
 from .duality import StoppingOracle
 from .facebasis import FaceBasis, apply_basis, apply_basis_adjoint, basis_init
 from .linesearch import (
@@ -40,6 +68,12 @@ MEMORY = 8  # quasi-Newton pair budget N
 ALPHA_MIN = 1e-10  # spectral step clamps
 ALPHA_MAX = 1e10
 CURVATURE_EPS = 1e-12  # pairs need s'y > CURVATURE_EPS*||s||*||y||
+# A face step ends its phase when it lowers f by at most STALL_RATIO times
+# the phase's largest decrease and leaves the gap above STALL_GAP_SHRINK of
+# its value.
+STALL_RATIO = 1e-3
+STALL_GAP_SHRINK = 0.9
+PHASE_ENDS = ("edge", "stall", "no_descent", "solve_end")
 
 
 @dataclass
@@ -66,7 +100,12 @@ class SolverReport:
     qn_steps: int
     pg_steps: int
     time_sec: float
+    phase_ends: dict[str, int]  # face phases by the reason each ended
     trace: list[TraceRecord] = field(default_factory=list)
+
+    @property
+    def face_phases(self) -> int:
+        return sum(self.phase_ends.values())
 
 
 class LbfgsModel:
@@ -177,7 +216,9 @@ def _solve(
     done = oracle.update(it)
     record(0, "init")
     alpha_bb = _initial_bb(it.g)
-    model: LbfgsModel | None = None
+    model: LbfgsModel | None = None  # the face phase's model; None between
+    largest = 0.0  # the largest decrease of a step in this face phase
+    phase_ends = dict.fromkeys(PHASE_ENDS, 0)
 
     iteration = 0
     while not done and iteration < max_iter:
@@ -185,23 +226,21 @@ def _solve(
         prev = it
         kind = "pg"
 
-        stepped = False
-        if hybrid and model is not None and len(model.pairs) > 0:
-            d = model.direction(it.g)
-            if float(it.g @ d) < 0:
-                bound = max_step_on_face(it.x, d, problem.w, problem.tau)
-                res = face_wolfe_search(problem, it, d, bound)
-                if res.status == "accepted":
-                    it = res.iterate
-                    history.clear()
-                    history.append(it.f)
-                    qn_steps += 1
-                    kind = "qn"
-                    stepped = r_updated = True
-            if not stepped:
-                model = None  # model step rejected; fall back to gradient
+        if model is not None:
+            gap_before = oracle.gap
+            res, bound = _face_step(problem, it, model)
+            if res.status == "accepted":
+                it = res.iterate
+                history.clear()
+                history.append(it.f)
+                qn_steps += 1
+                kind = "qn"
+                r_updated = True
+            else:
+                model = None
+                phase_ends["no_descent"] += 1
 
-        if not stepped:
+        if kind == "pg":
             res = _pg_search(problem, it, alpha_bb, max(history), options)
             if res.status != "accepted":
                 # Failed, or stationary: no move from an iterate the oracle
@@ -220,11 +259,32 @@ def _solve(
 
         done = oracle.update(it, r_exact=not r_updated)
         record(iteration, kind)
-        if hybrid and not done:
-            model = _maintain_model(problem, prev, it, model, s, y)
+        if not hybrid or done:
+            continue
+        if kind == "pg":
+            if prev.face == it.face:
+                model = _face_model(problem, it.face, alpha_bb)
+                if model is not None:
+                    model.update(s, y)
+                    largest = 0.0
+            continue
+        drop = prev.f - it.f
+        largest = max(largest, drop)
+        if (drop <= STALL_RATIO * largest
+                and oracle.gap > STALL_GAP_SHRINK * gap_before):
+            model = None
+            phase_ends["stall" if drop > 0 else "no_descent"] += 1
+        elif res.alpha == bound:
+            model = _face_model(problem, it.face, model.h0)
+            if model is None:
+                phase_ends["edge"] += 1
+        else:
+            model.update(s, y)
 
     if done:
         status = STATUS_OPTIMAL
+    if model is not None:
+        phase_ends["solve_end"] += 1
     # Report the best point, whose f the gap reads.  An updated residual
     # drifts by rounding, so then report the exact f and r at its x.
     best = oracle.best
@@ -232,36 +292,31 @@ def _solve(
     return SolverReport(
         x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,
-        pg_steps=pg_steps, time_sec=time.perf_counter() - start, trace=trace,
+        pg_steps=pg_steps, time_sec=time.perf_counter() - start,
+        phase_ends=phase_ends, trace=trace,
     )
 
 
-def _maintain_model(
-    problem: LassoProblem,
-    prev: Iterate,
-    it: Iterate,
-    model: LbfgsModel | None,
-    s: NDArray,
-    y: NDArray,
-) -> LbfgsModel | None:
-    """Keep, extend, or discard the face model after the step s from prev to it.
+def _face_model(problem: LassoProblem, face: FaceId | None,
+                h0: float) -> LbfgsModel | None:
+    """A fresh model on a usable face (the interior, or support size >= 2)."""
+    if face is None or (face.kind == "proper" and len(face.support) < 2):
+        return None
+    basis = (None if face.kind == "interior"
+             else basis_init(face, problem.w, problem.shape[1]))
+    return LbfgsModel(MEMORY, h0, basis)
 
-    A live model was built on prev's face, so it is kept only while the
-    face stays the same.
+
+def _face_step(problem: LassoProblem, it: Iterate,
+               model: LbfgsModel) -> tuple[SearchResult, float]:
+    """The model's step from it, capped at the face edge, and that cap.
+
+    A direction built from the face basis keeps the weighted norm, so its
+    edge is the first sign flip; an interior one runs to the sphere.
     """
-    face = it.face
-    if prev.face != face:
-        return None
-    usable = face is not None and (
-        face.kind == "interior" or len(face.support) >= 2
-    )
-    if not (usable and in_self_projection_cone(
-            it.x, -it.g, problem.w, problem.tau)):
-        return None
-    if model is None:
-        model = LbfgsModel(
-            MEMORY, bb_step(s, y, ALPHA_MIN, ALPHA_MAX),
-            None if face.kind == "interior"
-            else basis_init(face, problem.w, problem.shape[1]))
-    model.update(s, y)
-    return model
+    d = model.direction(it.g)
+    if model.basis is None:
+        bound = max_step_on_face(it.x, d, problem.w, problem.tau)
+    else:
+        bound = first_sign_flip(it.x, d)
+    return face_wolfe_search(problem, it, d, bound), bound

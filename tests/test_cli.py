@@ -38,6 +38,10 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
     assert record["status"] == "optimal"
     assert record["gap"] <= 1e-6
     assert record["iterations"] >= 1
+    # The face phases, by the reason each ended; added keys keep schema 1.
+    assert set(record["phase_ends"]) == {"edge", "stall", "no_descent",
+                                         "solve_end"}
+    assert record["face_phases"] == sum(record["phase_ends"].values())
     x = lio.read_vector(str(xfile))
     assert len(x) == 40
     with open(trace, newline="") as fh:

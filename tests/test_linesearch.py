@@ -228,18 +228,35 @@ def test_face_wolfe_search_cases():
     res = face_wolfe_search(p, it, d, np.inf)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(2.0)  # unconstrained minimizer
-    res = face_wolfe_search(p, it, d, 1.0)
-    assert res.status == "accepted"
-    assert res.alpha == pytest.approx(1.0)  # capped inside the window
-    res = face_wolfe_search(p, it, d, 0.05)
-    assert res.status == "failed"  # cap below the curvature threshold
+    # A capped step is accepted however short, inside the Wolfe window or not.
+    for bound in (1.0, 0.05):
+        res = face_wolfe_search(p, it, d, bound)
+        assert res.status == "accepted"
+        assert res.alpha == bound
     assert face_wolfe_search(p, it, -d, np.inf).status == "failed"
-    # A descent ray with no curvature has no minimizer, capped or not.
+    # A descent ray with no curvature has no minimizer; capped, it has a step.
     flat = LassoProblem(op=DenseOperator(np.array([[1.0, 0.0]])), b=np.zeros(1),
                         tau=10.0, c=np.array([0.0, -1.0]))
     it = evaluate(flat, np.zeros(2))
-    for bound in (np.inf, 1.0):
-        assert face_wolfe_search(flat, it, np.array([0.0, 1.0]), bound).status == "failed"
+    assert face_wolfe_search(flat, it, np.array([0.0, 1.0]), np.inf).status == "failed"
+    assert face_wolfe_search(flat, it, np.array([0.0, 1.0]), 1.0).alpha == 1.0
+
+
+def test_capped_face_step_zeroes_the_flipping_entry():
+    # Along d = (3, -3) the second entry of x = (0.1, 0.9) reaches zero at
+    # alpha = 0.3, before the ray minimizer 0.8; the capped step sets it to
+    # exactly zero, which x + 0.3*d in floating point does not.
+    p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.array([2.0, -2.0]),
+                     tau=1.0)
+    x = np.array([0.1, 0.9])
+    d = np.array([3.0, -3.0])
+    it = evaluate(p, x)
+    bound = float(-x[1] / d[1])
+    assert (x + bound * d)[1] != 0.0
+    res = face_wolfe_search(p, it, d, bound)
+    assert res.status == "accepted" and res.alpha == bound
+    assert res.iterate.x[1] == 0.0
+    assert res.iterate.x[0] == x[0] + bound * d[0]
 
 
 def test_face_wolfe_search_reuses_ray_product():

@@ -283,33 +283,131 @@ def test_spg_never_classifies_faces(monkeypatch):
     assert 0 < calls[0] <= report.iterations + 1
 
 
-def test_cone_test_runs_only_on_a_kept_face(monkeypatch):
-    cone_calls = [0]
-    decisions = []  # (face kept, cone tests made) per model decision
+def _sphere_walk_64x128():
+    return gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
+                                      gamma=0.1, k=10), 1).problem()
 
-    def cone(*args, **kwargs):
-        cone_calls[0] += 1
-        return in_self_projection_cone(*args, **kwargs)
 
-    maintain = solver_module._maintain_model
+def test_face_phase_starts_after_a_pg_step_on_a_kept_face(monkeypatch):
+    # A PG step whose end points share a face starts a face phase, with a
+    # model when the face is usable (interior, or support >= 2), and no
+    # cone test gates it; a PG step that changes the face starts none.
+    events = []  # ("pg", from, to) per accepted PG step, ("model", face, model)
 
-    def spy(problem, prev, it, *rest):
-        before = cone_calls[0]
-        out = maintain(problem, prev, it, *rest)
-        decisions.append((prev.face == it.face, cone_calls[0] - before))
-        return out
+    def pg_spy(problem, it, *rest):
+        res = pg(problem, it, *rest)
+        events.append(("pg", it, res.iterate))
+        return res
 
-    monkeypatch.setattr(solver_module, "in_self_projection_cone", cone)
-    monkeypatch.setattr(solver_module, "_maintain_model", spy)
-    inst = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
-                                      gamma=0.1, k=10), 1)
-    hybrid_solve(inst.problem(), options=SolverOptions(max_iter=300))
-    kept = [n for same, n in decisions if same]
-    changed = [n for same, n in decisions if not same]
-    assert kept and changed
-    assert set(changed) == {0}
-    assert set(kept) <= {0, 1} and 1 in kept
-    assert sum(kept) == cone_calls[0]
+    def model_spy(problem, face, h0):
+        model = face_model(problem, face, h0)
+        events.append(("model", face, model))
+        return model
+
+    def no_cone(*args, **kwargs):
+        raise AssertionError("the cone test gates no face phase")
+
+    pg, face_model = solver_module._pg_search, solver_module._face_model
+    monkeypatch.setattr(solver_module, "_pg_search", pg_spy)
+    monkeypatch.setattr(solver_module, "_face_model", model_spy)
+    monkeypatch.setattr(solver_module, "in_self_projection_cone", no_cone)
+    p = _sphere_walk_64x128()
+    report = hybrid_solve(p, options=SolverOptions(max_iter=300))
+    phases = changed = off_cone = 0
+    for k, (kind, prev, it) in enumerate(events):
+        if kind != "pg":
+            continue
+        kept = k + 1 < len(events) and events[k + 1][0] == "model"
+        assert kept == (prev.face == it.face)
+        if kept:
+            usable = it.face.kind == "interior" or len(it.face.support) >= 2
+            assert (events[k + 1][2] is not None) == usable
+            phases += usable
+            off_cone += not in_self_projection_cone(it.x, -it.g, p.w, p.tau)
+        else:
+            changed += 1
+    assert phases and changed
+    assert off_cone  # phases a cone gate would have refused
+    assert report.face_phases == phases
+
+
+def test_capped_step_continues_on_the_subface(monkeypatch):
+    # A face step capped at the first sign flip zeroes that entry exactly,
+    # and the next face step runs from that point on the subface: its
+    # direction lies in the subface's difference hull.
+    calls = []  # (iterate, direction, cap, result) per face search
+
+    def spy(problem, it, d, bound):
+        res = search(problem, it, d, bound)
+        calls.append((it, d, bound, res))
+        return res
+
+    search = solver_module.face_wolfe_search
+    monkeypatch.setattr(solver_module, "face_wolfe_search", spy)
+    p = _sphere_walk_64x128()
+    hybrid_solve(p, options=SolverOptions(max_iter=300))
+    continued = 0
+    for (it, d, bound, res), nxt in zip(calls, calls[1:]):
+        if res.status != "accepted" or res.alpha != bound \
+                or it.face.kind == "interior":  # capped at the sphere
+            continue
+        old, new = np.flatnonzero(it.x), np.flatnonzero(res.iterate.x)
+        assert set(new) < set(old)  # the support shrank, and never grows
+        if nxt[0] is not res.iterate:
+            continue
+        continued += 1
+        d_next = nxt[1]
+        assert not np.any(d_next[res.iterate.x == 0])
+        sign_w = np.sign(res.iterate.x[new]) * p.w[new]
+        assert abs(float(sign_w @ d_next[new])) <= 1e-12 * np.linalg.norm(d_next)
+    assert continued > 0
+
+
+def test_zero_decrease_step_ends_the_phase():
+    # Draw 51 of criterion 7 (m = 12, n = 8) reaches the optimum of a face,
+    # where the model's step is rounding-level and f does not fall.  That
+    # step ends the phase and a PG step follows; continuing the phase there
+    # would repeat the step until max_iter.
+    rng = np.random.default_rng(107)
+    for _ in range(52):
+        m, n = int(rng.integers(2, 13)), int(rng.integers(2, 9))
+        mu = 0.0 if m >= n else float(rng.uniform(0.05, 0.3))
+        a, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        tau = float(rng.uniform(0.2, 1.5))
+    assert (m, n) == (12, 8)
+    report = hybrid_solve(LassoProblem(op=DenseOperator(a), b=b, tau=tau, mu=mu),
+                          options=SolverOptions(trace=True))
+    trace = report.trace
+    flat = [k for k in range(1, len(trace))
+            if trace[k].step_kind == "qn" and trace[k].f >= trace[k - 1].f]
+    assert flat and all(trace[k + 1].step_kind == "pg" for k in flat)
+    assert report.phase_ends["no_descent"] == len(flat)
+    assert report.status == STATUS_OPTIMAL
+    assert report.iterations < 10 * m
+    _, f_star = qp_oracle(a, b, tau, mu=mu)
+    assert report.f == pytest.approx(f_star, abs=1e-6 * max(1.0, abs(f_star)))
+
+
+def test_f_stall_near_the_optimum_keeps_the_phase_while_the_gap_falls():
+    # Near the optimum of criterion 6's instance 60071 the face steps lower f
+    # by rounding-level amounts, at most STALL_RATIO times the phase's
+    # largest decrease, yet each still cuts the gap.  The phase goes on and
+    # certifies the optimum; ending it there left a PG step that could not
+    # pass the nonmonotone test and ended the run `linesearch_failure`.
+    spec = GeneratorSpec(m=256, n=512, k=20, dist="uniform", tau_mult=0.99)
+    p = gen_instance(spec, 60071).problem()
+    report = hybrid_solve(p, options=SolverOptions(trace=True))
+    assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+    tail = []  # (decrease, gap) of the final face phase's steps
+    for prev, rec in zip(report.trace, report.trace[1:]):
+        tail = tail + [(prev.f - rec.f, rec.gap)] if rec.step_kind == "qn" else []
+    largest = tail[0][0]
+    kept = [gap <= solver_module.STALL_GAP_SHRINK * prev_gap
+            for (_, prev_gap), (drop, gap) in zip(tail, tail[1:])
+            if drop <= solver_module.STALL_RATIO * largest]
+    assert kept and all(kept)
+    assert report.phase_ends == {"edge": 0, "stall": 0, "no_descent": 0,
+                                 "solve_end": 1}
 
 
 @pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
