@@ -10,6 +10,14 @@ each subproblem is solved only to a relative gap proportional to the last
 misfit's distance from sigma.  The gap a subproblem returns bounds its
 optimal misfit, and only a misfit certified to lie on one side of sigma
 moves the bracket around the root.
+
+Each subproblem after the first starts where the last one left off, at no
+product's cost: from the scale predictor P_tau(x*tau/tau_prev), which keeps
+the previous solution's signs and lands on the new sphere when that
+solution lies on its own, with the last subproblem's Barzilai-Borwein step,
+and, for the hybrid, with the quasi-Newton pairs of the face model that was
+open when it stopped, whenever the predictor lies on that model's face
+(`solver.WarmStart`).
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .ball import project
+from .ball import face_of, project
 from .duality import dual_weighted_inf_norm, gap_scale
 from .model import LassoProblem, SolverOptions
-from .solver import STATUS_OPTIMAL, SolverReport, hybrid_solve, spg_solve
+from .solver import STATUS_OPTIMAL, SolverReport, WarmStart, hybrid_solve, spg_solve
 
 ROOT_TOL = 1e-5
 KAPPA = 0.1  # subproblem gap tolerance per unit of relative misfit error
@@ -45,6 +53,7 @@ class ParetoState:
     iterations: int
     opt_tol: float  # relative gap the subproblem was asked for
     gap: float  # relative gap it returned
+    warm_pairs: int = 0  # carried pairs its first face phase started with
 
 
 @dataclass
@@ -106,6 +115,18 @@ def newton_tau_update(tau: float, misfit: float, sigma: float, lam: float) -> fl
     return tau + (misfit - sigma) * misfit / lam
 
 
+def scaled_start(x: NDArray, tau_prev: float, tau: float,
+                 w: NDArray) -> NDArray:
+    """The scale predictor P_tau(x*tau/tau_prev) (x itself after radius 0).
+
+    It keeps the signs of x, and lands on the new sphere when x lies on the
+    sphere of radius tau_prev.
+    """
+    if tau_prev > 0:
+        x = x * (tau / tau_prev)
+    return project(x, w, tau)[0]
+
+
 def solve_bpdn(
     problem: LassoProblem,
     sigma: float,
@@ -117,9 +138,11 @@ def solve_bpdn(
     """Minimize the weighted one-norm subject to ||Ax - b|| <= sigma.
 
     `problem.tau` is ignored; each subproblem re-solves at the current
-    radius with a warm start projected from the previous solution, to the
-    relative gap max(opt_tol, min(0.1, 2*KAPPA*|misfit - sigma|/misfit)) of
-    the last misfit.  The run converges on a misfit within the root
+    radius, warm-started from the previous one (the scale predictor, the
+    last Barzilai-Borwein step and, for the hybrid, the open face model's
+    pairs; see the module docstring), to the relative gap
+    max(opt_tol, min(0.1, 2*KAPPA*|misfit - sigma|/misfit)) of the last
+    misfit.  The run converges on a misfit within the root
     tolerance of sigma from a subproblem solved to opt_tol (asked for it,
     or met it), or from a looser one whose gap certifies an optimal misfit
     of at least sigma - tol.  Any other misfit in that window, or
@@ -163,6 +186,7 @@ def solve_bpdn(
                             options.opt_tol, 0.0))
     status = STATUS_BUDGET
     resolve = False  # solve the same radius again, to opt_tol
+    warm: WarmStart | None = None
 
     for _ in range(max_subproblems):
         if resolve:
@@ -175,14 +199,19 @@ def solve_bpdn(
                 0.1, 2.0 * KAPPA * abs(misfit - sigma) / max(misfit, tol)))
         sub = LassoProblem(op=problem.op, b=b, tau=tau, w=problem.w,
                            mu=problem.mu, c=problem.c)
-        x0, _ = project(x, sub.w, tau)
+        x0 = scaled_start(x, path[-1].tau, tau, sub.w)
+        # The solver carries the pairs when x0 lies on their model's face.
+        warm_pairs = (len(warm.pairs) if warm is not None and warm.face
+                      is not None and face_of(x0, sub.w, tau) == warm.face else 0)
         report: SolverReport = solve(
-            sub, x0, dataclasses.replace(options, opt_tol=sub_tol))
+            sub, x0, dataclasses.replace(options, opt_tol=sub_tol), warm=warm)
         x = report.x
         misfit = float(np.linalg.norm(report.r))
         lam = report.lam
+        warm = report.warm
         path.append(ParetoState(tau, misfit, lam, report.status,
-                                report.iterations, sub_tol, report.gap))
+                                report.iterations, sub_tol, report.gap,
+                                warm_pairs))
         low, high = misfit_interval(
             misfit, report.gap * gap_scale(report.f), f_is_misfit)
         # A solve asked for opt_tol, or one that met it anyway, is as exact

@@ -13,7 +13,8 @@ step goes to the exact minimizer of the objective along the model
 direction, capped at the face edge: the first sign flip on a boundary face,
 the sphere in the interior.  A capped step is accepted, lands exactly on the
 subface, and the phase continues there with a fresh model and the same h0,
-so face steps never grow the support.  The phase ends, and the next
+so face steps never grow the support.  So does an interior step that stops
+within the feasibility slack of the sphere.  The phase ends, and the next
 iteration is a PG step, when
 
 - `edge`: a capped step reaches a face that is not usable, a vertex;
@@ -27,6 +28,17 @@ iteration is a PG step, when
 
 The gap guard keeps a phase going near the optimum, where f changes only by
 rounding but each step still cuts the gap.
+
+A solve can start from a `WarmStart` that an earlier solve of the same f at
+another radius returned (`SolverReport.warm`): its last Barzilai-Borwein
+step becomes the first step, and when the start lies on the face of the
+model that was open when the earlier solve stopped, the hybrid's first
+iteration is a face step from a model holding that model's h0 and pairs.
+The pairs stay exact: f is quadratic and its Hessian A'A + mu*I does not
+depend on tau, the face's difference hull does not either, and the face
+basis depends only on the face and w.  The solver builds that basis from
+its own problem, so a warm start from another problem can cost steps but
+never feasibility.
 """
 
 from __future__ import annotations
@@ -86,6 +98,32 @@ class TraceRecord:
     support: NDArray | None = None
 
 
+@dataclass(frozen=True)
+class WarmStart:
+    """What a solve hands to the next solve of the same f at another radius.
+
+    `alpha_bb` is its last Barzilai-Borwein step.  `face`, `h0` and `pairs`
+    (s, y, 1/s'y in the face basis's coordinates) are those of the face
+    phase's model open when it stopped; `face` is None and `pairs` empty
+    when none was.  The arrays are read-only copies.
+    """
+
+    alpha_bb: float
+    face: FaceId | None = None
+    h0: float = 1.0
+    pairs: tuple[tuple[NDArray, NDArray, float], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(
+            (_read_only(s), _read_only(y), float(rho)) for s, y, rho in self.pairs))
+
+
+def _read_only(v: NDArray) -> NDArray:
+    v = np.array(v, dtype=float)
+    v.setflags(write=False)
+    return v
+
+
 @dataclass
 class SolverReport:
     """The best point seen (x, r and f come from it) with the best dual bound."""
@@ -101,6 +139,7 @@ class SolverReport:
     pg_steps: int
     time_sec: float
     phase_ends: dict[str, int]  # face phases by the reason each ended
+    warm: WarmStart  # the start it hands to a solve at another radius
     trace: list[TraceRecord] = field(default_factory=list)
 
     @property
@@ -113,13 +152,15 @@ class LbfgsModel:
 
     `update` and `direction` take and return ambient vectors and reduce and
     embed them here.  A basis of None is the identity: the interior region,
-    or plain coordinates.
+    or plain coordinates.  `face` is the face the basis spans, when known.
     """
 
-    def __init__(self, memory: int, h0: float, basis: FaceBasis | None = None):
+    def __init__(self, memory: int, h0: float, basis: FaceBasis | None = None,
+                 face: FaceId | None = None):
         self.memory = memory
         self.h0 = h0
         self.basis = basis
+        self.face = face
         self.pairs: deque[tuple[NDArray, NDArray, float]] = deque(maxlen=memory)
 
     def update(self, s: NDArray, y: NDArray) -> bool:
@@ -169,16 +210,18 @@ def spg_solve(
     problem: LassoProblem,
     x0: NDArray | None = None,
     options: SolverOptions | None = None,
+    warm: WarmStart | None = None,
 ) -> SolverReport:
-    return _solve(problem, x0, options, hybrid=False)
+    return _solve(problem, x0, options, hybrid=False, warm=warm)
 
 
 def hybrid_solve(
     problem: LassoProblem,
     x0: NDArray | None = None,
     options: SolverOptions | None = None,
+    warm: WarmStart | None = None,
 ) -> SolverReport:
-    return _solve(problem, x0, options, hybrid=True)
+    return _solve(problem, x0, options, hybrid=True, warm=warm)
 
 
 def _solve(
@@ -186,6 +229,7 @@ def _solve(
     x0: NDArray | None,
     options: SolverOptions | None,
     hybrid: bool,
+    warm: WarmStart | None,
 ) -> SolverReport:
     start = time.perf_counter()
     options = options or SolverOptions()
@@ -215,8 +259,12 @@ def _solve(
 
     done = oracle.update(it)
     record(0, "init")
-    alpha_bb = _initial_bb(it.g)
-    model: LbfgsModel | None = None  # the face phase's model; None between
+    # A carried step outside the clamps falls back to the cold one.
+    alpha_bb = (warm.alpha_bb if warm is not None
+                and ALPHA_MIN <= warm.alpha_bb <= ALPHA_MAX else _initial_bb(it.g))
+    # The face phase's model; None between phases.
+    model = (_carried_model(problem, it.face, warm)
+             if hybrid and warm is not None else None)
     largest = 0.0  # the largest decrease of a step in this face phase
     phase_ends = dict.fromkeys(PHASE_ENDS, 0)
 
@@ -274,7 +322,11 @@ def _solve(
                 and oracle.gap > STALL_GAP_SHRINK * gap_before):
             model = None
             phase_ends["stall" if drop > 0 else "no_descent"] += 1
-        elif res.alpha == bound:
+        elif res.alpha == bound or (model.basis is None
+                                    and it.face.kind != "interior"):
+            # Capped, or an interior step that stopped within the
+            # feasibility slack of the sphere, where the interior cap is no
+            # longer the sphere crossing.
             model = _face_model(problem, it.face, model.h0)
             if model is None:
                 phase_ends["edge"] += 1
@@ -294,6 +346,8 @@ def _solve(
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start,
         phase_ends=phase_ends, trace=trace,
+        warm=WarmStart(alpha_bb) if model is None else WarmStart(
+            alpha_bb, model.face, model.h0, tuple(model.pairs)),
     )
 
 
@@ -304,7 +358,22 @@ def _face_model(problem: LassoProblem, face: FaceId | None,
         return None
     basis = (None if face.kind == "interior"
              else basis_init(face, problem.w, problem.shape[1]))
-    return LbfgsModel(MEMORY, h0, basis)
+    return LbfgsModel(MEMORY, h0, basis, face)
+
+
+def _carried_model(problem: LassoProblem, face: FaceId | None,
+                   warm: WarmStart) -> LbfgsModel | None:
+    """A model on face holding warm's pairs, when warm's model was on face."""
+    if warm.face is None or face != warm.face:
+        return None
+    model = _face_model(problem, face, warm.h0)
+    if model is None:
+        return None
+    dim = problem.shape[1] if model.basis is None else model.basis.k
+    if any(len(s) != dim or len(y) != dim for s, y, _ in warm.pairs):
+        return None
+    model.pairs.extend(warm.pairs)
+    return model
 
 
 def _face_step(problem: LassoProblem, it: Iterate,

@@ -91,6 +91,7 @@ def test_root_converges(tmp_path, capsys):
     assert path[0]["tau"] == 0
     assert path[-1]["tau"] == record["tau"]
     assert path[-1]["misfit"] == record["misfit"]
+    assert all(entry["warm_pairs"] >= 0 for entry in path)
 
 
 def test_root_unreachable_sigma_exits_4(tmp_path, capsys):

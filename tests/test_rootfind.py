@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lassokit import rootfind
+from lassokit.ball import weighted_l1_norm
 from lassokit.duality import gap_scale
 from lassokit.model import DenseOperator, LassoProblem, LinearOperator, SolverOptions
 from lassokit.probgen import GeneratorSpec, gen_instance
@@ -11,6 +12,7 @@ from lassokit.rootfind import (
     Bracket,
     misfit_interval,
     newton_tau_update,
+    scaled_start,
     solve_bpdn,
 )
 from lassokit.solver import STATUS_OPTIMAL, hybrid_solve, spg_solve
@@ -229,3 +231,25 @@ def test_ridge_root_runs_converge(seed, solver):
     assert report.path[0].tau == 0.0
     assert all(s.gap <= s.opt_tol for s in report.path
                if s.subproblem_status == STATUS_OPTIMAL)
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+def test_hybrid_subproblems_start_from_carried_pairs(solver):
+    inst = gen_instance(GeneratorSpec(m=64, n=128, k=10), 1)
+    report = solve_bpdn(inst.problem(), inst.sigma, solver=solver)
+    assert report.status == STATUS_CONVERGED
+    carried = [s.warm_pairs for s in report.path]
+    assert carried[:2] == [0, 0]  # the radius-zero point and a cold start
+    assert (max(carried) > 0) == (solver == "hybrid")
+
+
+def test_scale_predictor_lands_on_the_new_sphere():
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 2.0, size=50)
+    x = rng.normal(size=50) * (rng.random(50) < 0.3)
+    tau_prev = weighted_l1_norm(x, w)
+    for tau in (0.7 * tau_prev, tau_prev, 1.3 * tau_prev):
+        x0 = scaled_start(x, tau_prev, tau, w)
+        assert weighted_l1_norm(x0, w) == pytest.approx(tau, rel=1e-12)
+        assert np.array_equal(np.sign(x0), np.sign(x))
+    assert np.array_equal(scaled_start(np.zeros(50), 0.0, 2.0, w), np.zeros(50))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_bfgs_matrix, qp_oracle
+from lassokit import linesearch as linesearch_module
 from lassokit import model as model_module
 from lassokit import solver as solver_module
 from lassokit.ball import (
     FEAS_TOL,
+    FaceId,
     face_of,
     in_self_projection_cone,
     weighted_l1_norm,
@@ -26,6 +28,7 @@ from lassokit.solver import (
     STATUS_LINESEARCH_FAILURE,
     STATUS_OPTIMAL,
     LbfgsModel,
+    WarmStart,
     hybrid_solve,
     spg_solve,
 )
@@ -451,6 +454,120 @@ def test_matches_small_oracle():
         _, f_star = qp_oracle(a, b, tau, mu=mu)
         report = hybrid_solve(p)
         assert report.f == pytest.approx(f_star, abs=1e-6 * max(1.0, abs(f_star)))
+
+
+def _solved_and_widened():
+    """A hybrid solve of sphere-walk 64x128 (mu 1e-3), and its problem at 1.01 tau."""
+    p = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
+                                   gamma=0.1, k=10), 1).problem(mu=1e-3)
+    first = hybrid_solve(p)
+    wider = LassoProblem(op=p.op, b=p.b, tau=1.01 * p.tau, mu=p.mu)
+    return first, wider
+
+
+def _evaluated_norms(monkeypatch):
+    """||x||_w / tau of every point the solvers evaluate from now on."""
+    norms = []
+    evaluate_ = model_module.evaluate
+
+    def spy(problem, x, r=None):
+        norms.append(weighted_l1_norm(x, problem.w) / problem.tau)
+        return evaluate_(problem, x, r)
+
+    monkeypatch.setattr(solver_module, "evaluate", spy)
+    monkeypatch.setattr(linesearch_module, "evaluate", spy)
+    return norms
+
+
+def test_warm_resolve_starts_with_a_face_step(monkeypatch):
+    # The scaled point keeps the signs, so it lies on the face of the model
+    # the first solve ended in: the re-solve opens a face phase at once,
+    # from a model that holds that model's pairs.
+    first, wider = _solved_and_widened()
+    warm = first.warm
+    assert warm.face is not None and warm.pairs
+    before = [(s.copy(), y.copy(), rho) for s, y, rho in warm.pairs]
+    held = []
+
+    def direction_spy(model, g):
+        held.append(len(model.pairs))
+        return direction(model, g)
+
+    direction = LbfgsModel.direction
+    monkeypatch.setattr(LbfgsModel, "direction", direction_spy)
+    tight = SolverOptions(opt_tol=1e-10, trace=True)
+    report = hybrid_solve(wider, 1.01 * first.x, tight, warm=warm)
+    assert report.trace[1].step_kind == "qn"
+    assert held[0] == len(warm.pairs)
+    cold = hybrid_solve(wider, options=tight)
+    assert report.status == cold.status == STATUS_OPTIMAL
+    assert report.f == pytest.approx(cold.f, rel=1e-8)
+    # The solve read the pairs and left them as they were.
+    assert len(warm.pairs) == len(before)
+    for (s, y, rho), (s0, y0, rho0) in zip(warm.pairs, before):
+        assert np.array_equal(s, s0) and np.array_equal(y, y0) and rho == rho0
+
+
+def test_warm_start_from_other_weights_stays_feasible(monkeypatch):
+    # Pairs reduced in another problem's face basis make a poor model but
+    # still a face direction of this problem's own basis.
+    first, wider = _solved_and_widened()
+    w = np.random.default_rng(1).uniform(0.5, 2.0, size=wider.shape[1])
+    p = LassoProblem(op=wider.op, b=wider.b, w=w, mu=wider.mu,
+                     tau=1.01 * weighted_l1_norm(first.x, w))
+    norms = _evaluated_norms(monkeypatch)
+    report = hybrid_solve(p, 1.01 * first.x, SolverOptions(trace=True),
+                          warm=first.warm)
+    assert report.trace[1].step_kind == "qn"  # the carried model was used
+    assert report.status == STATUS_OPTIMAL
+    assert max(norms) <= 1.0 + 1e-12
+
+
+def test_spg_reads_only_the_warm_step(monkeypatch):
+    first, wider = _solved_and_widened()
+    alphas = []
+
+    def search_spy(problem, it, alpha0, fmax):
+        alphas.append(alpha0)
+        return search(problem, it, alpha0, fmax)
+
+    search = solver_module.nonmonotone_armijo_backtrack
+    monkeypatch.setattr(solver_module, "nonmonotone_armijo_backtrack",
+                        search_spy)
+    x0 = 1.01 * first.x
+    full = spg_solve(wider, x0, warm=first.warm)
+    assert alphas[0] == first.warm.alpha_bb
+    step = spg_solve(wider, x0, warm=WarmStart(first.warm.alpha_bb))
+    assert full.iterations == step.iterations
+    assert np.array_equal(full.x, step.x)
+    assert full.warm.face is None and full.warm.pairs == ()
+
+
+def test_warm_pairs_of_another_size_are_not_carried():
+    # Interior faces compare equal across problem sizes; pairs that do not
+    # fit the problem are dropped and the solve starts with a PG step.
+    p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.array([0.1, 0.2]),
+                     tau=1.0)
+    warm = WarmStart(0.5, FaceId("interior"), 1.0,
+                     ((np.ones(3), np.ones(3), 1.0 / 3.0),))
+    report = hybrid_solve(p, options=SolverOptions(trace=True), warm=warm)
+    assert report.status == STATUS_OPTIMAL
+    assert report.trace[1].step_kind == "pg"
+
+
+def test_interior_phase_moves_to_the_face_it_reaches(monkeypatch):
+    # In this run an uncapped interior face step stops within the
+    # feasibility slack of the sphere.  Capped at the first sign flip, as
+    # from a boundary point, the interior model's next step would leave the
+    # ball; the phase continues on the face reached instead.
+    p = gen_instance(GeneratorSpec(m=64, n=128, k=10), 2).problem()
+    first = hybrid_solve(p)
+    wider = LassoProblem(op=p.op, b=p.b, tau=1.1 * p.tau)
+    norms = _evaluated_norms(monkeypatch)
+    report = hybrid_solve(wider, 1.1 * first.x,
+                          warm=WarmStart(first.warm.alpha_bb))
+    assert report.status == STATUS_OPTIMAL
+    assert max(norms) <= 1.0 + 1e-12
 
 
 def test_lbfgs_empty_buffer_direction():
