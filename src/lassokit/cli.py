@@ -101,6 +101,7 @@ def cmd_solve(args) -> int:
         "pg_steps": report.pg_steps,
         "face_phases": report.face_phases,
         "phase_ends": report.phase_ends,
+        "pairs_rejected": report.pairs_rejected,
         "tau": problem.tau,
         "time_sec": report.time_sec,
     })

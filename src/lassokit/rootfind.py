@@ -15,9 +15,8 @@ Each subproblem after the first starts where the last one left off, at no
 product's cost: from the scale predictor P_tau(x*tau/tau_prev), which keeps
 the previous solution's signs and lands on the new sphere when that
 solution lies on its own, with the last subproblem's Barzilai-Borwein step,
-and, for the hybrid, with the quasi-Newton pairs of the face model that was
-open when it stopped, whenever the predictor lies on that model's face
-(`solver.WarmStart`).
+and, for the hybrid, with the ambient quasi-Newton pairs of its last face
+phase, reduced onto the predictor's face (`solver.WarmStart`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .ball import face_of, project
+from .ball import project
 from .duality import dual_weighted_inf_norm, gap_scale
 from .model import LassoProblem, SolverOptions
 from .solver import STATUS_OPTIMAL, SolverReport, WarmStart, hybrid_solve, spg_solve
@@ -53,7 +52,7 @@ class ParetoState:
     iterations: int
     opt_tol: float  # relative gap the subproblem was asked for
     gap: float  # relative gap it returned
-    warm_pairs: int = 0  # carried pairs its first face phase started with
+    warm_pairs: int = 0  # carried pairs its first model stored
 
 
 @dataclass
@@ -139,7 +138,7 @@ def solve_bpdn(
 
     `problem.tau` is ignored; each subproblem re-solves at the current
     radius, warm-started from the previous one (the scale predictor, the
-    last Barzilai-Borwein step and, for the hybrid, the open face model's
+    last Barzilai-Borwein step and, for the hybrid, the last face phase's
     pairs; see the module docstring), to the relative gap
     max(opt_tol, min(0.1, 2*KAPPA*|misfit - sigma|/misfit)) of the last
     misfit.  The run converges on a misfit within the root
@@ -200,9 +199,6 @@ def solve_bpdn(
         sub = LassoProblem(op=problem.op, b=b, tau=tau, w=problem.w,
                            mu=problem.mu, c=problem.c)
         x0 = scaled_start(x, path[-1].tau, tau, sub.w)
-        # The solver carries the pairs when x0 lies on their model's face.
-        warm_pairs = (len(warm.pairs) if warm is not None and warm.face
-                      is not None and face_of(x0, sub.w, tau) == warm.face else 0)
         report: SolverReport = solve(
             sub, x0, dataclasses.replace(options, opt_tol=sub_tol), warm=warm)
         x = report.x
@@ -211,7 +207,7 @@ def solve_bpdn(
         warm = report.warm
         path.append(ParetoState(tau, misfit, lam, report.status,
                                 report.iterations, sub_tol, report.gap,
-                                warm_pairs))
+                                report.warm_pairs))
         low, high = misfit_interval(
             misfit, report.gap * gap_scale(report.f), f_is_misfit)
         # A solve asked for opt_tol, or one that met it anyway, is as exact

@@ -14,8 +14,10 @@ direction, capped at the face edge: the first sign flip on a boundary face,
 the sphere in the interior.  A capped step is accepted, lands exactly on the
 subface, and the phase continues there with a fresh model and the same h0,
 so face steps never grow the support.  So does an interior step that stops
-within the feasibility slack of the sphere.  The phase ends, and the next
-iteration is a PG step, when
+within the feasibility slack of the sphere.  (Seeding that model with the
+phase's earlier pairs saves steps but not time: each capped step would
+reduce them all again and run a full-memory two-loop.)  The phase ends, and
+the next iteration is a PG step, when
 
 - `edge`: a capped step reaches a face that is not usable, a vertex;
 - `no_descent`: the model finds no step (its direction does not descend,
@@ -29,16 +31,21 @@ iteration is a PG step, when
 The gap guard keeps a phase going near the optimum, where f changes only by
 rounding but each step still cuts the gap.
 
-A solve can start from a `WarmStart` that an earlier solve of the same f at
-another radius returned (`SolverReport.warm`): its last Barzilai-Borwein
-step becomes the first step, and when the start lies on the face of the
-model that was open when the earlier solve stopped, the hybrid's first
-iteration is a face step from a model holding that model's h0 and pairs.
-The pairs stay exact: f is quadratic and its Hessian A'A + mu*I does not
-depend on tau, the face's difference hull does not either, and the face
-basis depends only on the face and w.  The solver builds that basis from
-its own problem, so a warm start from another problem can cost steps but
-never feasibility.
+The phase keeps the ambient pairs (s, y) of its last MEMORY steps, from the
+PG step that opened it on.  A solve can start from a `WarmStart` that an
+earlier solve of the same f at another radius returned (`SolverReport.warm`):
+its last Barzilai-Borwein step becomes the first step, and when the start's
+face is usable, whichever it is, the hybrid's first iteration is a face step
+from a model on it seeded with the last phase's pairs reduced onto it, as
+L-BFGS-B reduces its pairs onto the free variables (Byrd, Lu, Nocedal & Zhu,
+SIAM J. Sci. Comput. 16(5), 1995).  f is quadratic and its Hessian
+A'A + mu*I does not depend on tau, so y = (A'A + mu*I)s holds at every radius
+and on every face.  A pair whose s lies in the face's difference hull reduces
+to an exact secant pair of the reduced Hessian; any other is an
+approximation, which the curvature check may turn away and which can cost
+steps but not correctness: a face step still goes to the exact ray minimizer
+and needs g'd < 0.  The solver builds the face basis from its own problem,
+so a warm start from another problem can cost steps but never feasibility.
 """
 
 from __future__ import annotations
@@ -102,10 +109,10 @@ class TraceRecord:
 class WarmStart:
     """What a solve hands to the next solve of the same f at another radius.
 
-    `alpha_bb` is its last Barzilai-Borwein step.  `face`, `h0` and `pairs`
-    (s, y, 1/s'y in the face basis's coordinates) are those of the face
-    phase's model open when it stopped; `face` is None and `pairs` empty
-    when none was.  The arrays are read-only copies.
+    `alpha_bb` is its last Barzilai-Borwein step and `pairs` the ambient
+    (s, y, 1/s'y) of its last face phase.  `face` and `h0` are those of the
+    model open when it stopped; when none was, `face` is None and `h0` is
+    `alpha_bb`.  No solve reads `face`.  The arrays are read-only copies.
     """
 
     alpha_bb: float
@@ -139,6 +146,8 @@ class SolverReport:
     pg_steps: int
     time_sec: float
     phase_ends: dict[str, int]  # face phases by the reason each ended
+    pairs_rejected: int  # quasi-Newton pairs the curvature check turned away
+    warm_pairs: int  # carried pairs the first model stored
     warm: WarmStart  # the start it hands to a solve at another radius
     trace: list[TraceRecord] = field(default_factory=list)
 
@@ -262,9 +271,17 @@ def _solve(
     # A carried step outside the clamps falls back to the cold one.
     alpha_bb = (warm.alpha_bb if warm is not None
                 and ALPHA_MIN <= warm.alpha_bb <= ALPHA_MAX else _initial_bb(it.g))
-    # The face phase's model; None between phases.
-    model = (_carried_model(problem, it.face, warm)
-             if hybrid and warm is not None else None)
+    # The face phase's model, None between phases, and the ambient (s, y)
+    # of the last phase's last steps.
+    model, memory = None, deque(maxlen=MEMORY)
+    rejected = warm_pairs = 0  # pairs the curvature check turned away / kept
+    if hybrid and warm is not None and warm.pairs and all(
+            len(s) == len(y) == n for s, y, _ in warm.pairs):
+        memory.extend((s, y) for s, y, _ in warm.pairs)
+        model = _face_model(problem, it.face, warm.h0)
+        if model is not None:
+            warm_pairs = sum(model.update(s, y) for s, y in memory)
+            rejected = len(memory) - warm_pairs
     largest = 0.0  # the largest decrease of a step in this face phase
     phase_ends = dict.fromkeys(PHASE_ENDS, 0)
 
@@ -313,9 +330,11 @@ def _solve(
             if prev.face == it.face:
                 model = _face_model(problem, it.face, alpha_bb)
                 if model is not None:
-                    model.update(s, y)
+                    memory = deque([(s, y)], maxlen=MEMORY)
+                    rejected += not model.update(s, y)
                     largest = 0.0
             continue
+        memory.append((s, y))
         drop = prev.f - it.f
         largest = max(largest, drop)
         if (drop <= STALL_RATIO * largest
@@ -331,7 +350,7 @@ def _solve(
             if model is None:
                 phase_ends["edge"] += 1
         else:
-            model.update(s, y)
+            rejected += not model.update(s, y)
 
     if done:
         status = STATUS_OPTIMAL
@@ -345,9 +364,10 @@ def _solve(
         x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start,
-        phase_ends=phase_ends, trace=trace,
-        warm=WarmStart(alpha_bb) if model is None else WarmStart(
-            alpha_bb, model.face, model.h0, tuple(model.pairs)),
+        phase_ends=phase_ends, pairs_rejected=rejected, warm_pairs=warm_pairs,
+        trace=trace, warm=WarmStart(
+            alpha_bb, model.face if model else None, model.h0 if model else alpha_bb,
+            tuple((s, y, 1.0 / sy) for s, y in memory if (sy := float(s @ y)) > 0)),
     )
 
 
@@ -359,21 +379,6 @@ def _face_model(problem: LassoProblem, face: FaceId | None,
     basis = (None if face.kind == "interior"
              else basis_init(face, problem.w, problem.shape[1]))
     return LbfgsModel(MEMORY, h0, basis, face)
-
-
-def _carried_model(problem: LassoProblem, face: FaceId | None,
-                   warm: WarmStart) -> LbfgsModel | None:
-    """A model on face holding warm's pairs, when warm's model was on face."""
-    if warm.face is None or face != warm.face:
-        return None
-    model = _face_model(problem, face, warm.h0)
-    if model is None:
-        return None
-    dim = problem.shape[1] if model.basis is None else model.basis.k
-    if any(len(s) != dim or len(y) != dim for s, y, _ in warm.pairs):
-        return None
-    model.pairs.extend(warm.pairs)
-    return model
 
 
 def _face_step(problem: LassoProblem, it: Iterate,

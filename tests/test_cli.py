@@ -42,6 +42,7 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
     assert set(record["phase_ends"]) == {"edge", "stall", "no_descent",
                                          "solve_end"}
     assert record["face_phases"] == sum(record["phase_ends"].values())
+    assert type(record["pairs_rejected"]) is int
     x = lio.read_vector(str(xfile))
     assert len(x) == 40
     with open(trace, newline="") as fh:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from lassokit.ball import (
     weighted_l1_norm,
 )
 from lassokit.duality import StoppingOracle, dual_weighted_inf_norm
+from lassokit.facebasis import basis_init, basis_to_dense
 from lassokit.model import (
     DenseOperator,
     LassoProblem,
@@ -24,6 +27,7 @@ from lassokit.model import (
 from lassokit.probgen import GeneratorSpec, gen_instance
 from lassokit.linesearch import SearchResult
 from lassokit.solver import (
+    MEMORY,
     STATUS_ITER_LIMIT,
     STATUS_LINESEARCH_FAILURE,
     STATUS_OPTIMAL,
@@ -568,6 +572,114 @@ def test_interior_phase_moves_to_the_face_it_reaches(monkeypatch):
                           warm=WarmStart(first.warm.alpha_bb))
     assert report.status == STATUS_OPTIMAL
     assert max(norms) <= 1.0 + 1e-12
+
+
+def test_warm_start_on_another_face_seeds_the_first_model(monkeypatch):
+    # The start drops the smallest entry of the first solve's point, so it
+    # lies on a subface of the face the carried pairs came from.  They are
+    # reduced onto the start's own face: the first iteration is a face step
+    # from a model holding every carried pair that passes the curvature
+    # check, and the report counts them.
+    first, wider = _solved_and_widened()
+    warm = first.warm
+    x0 = 1.01 * first.x
+    x0[np.argmin(np.where(x0 != 0, np.abs(x0), np.inf))] = 0.0
+    x0 *= wider.tau / weighted_l1_norm(x0, wider.w)
+    assert face_of(x0, wider.w, wider.tau) != face_of(
+        1.01 * first.x, wider.w, wider.tau)
+    assert all(len(s) == wider.shape[1] for s, _, _ in warm.pairs)
+    held = []
+
+    def direction_spy(model, g):
+        held.append(len(model.pairs))
+        return direction(model, g)
+
+    direction = LbfgsModel.direction
+    monkeypatch.setattr(LbfgsModel, "direction", direction_spy)
+    report = hybrid_solve(wider, x0, SolverOptions(trace=True), warm=warm)
+    assert report.trace[1].step_kind == "qn"
+    assert held[0] == report.warm_pairs > 0
+    assert report.status == STATUS_OPTIMAL
+
+
+def test_warm_pairs_are_exact_ambient_pairs_across_subfaces():
+    # A loose solve stops in a phase that has passed through subfaces.  The
+    # carried pairs are that phase's ambient steps: each moves entries that
+    # are zero on the face of the model open at the end, so no single face
+    # basis could hold them, and f is quadratic, so y = (A'A + mu*I)s.
+    p = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
+                                   gamma=0.1, k=10), 1).problem(mu=1e-3)
+    warm = hybrid_solve(p, options=SolverOptions(opt_tol=1e-3)).warm
+    assert warm.face is not None and len(warm.pairs) == MEMORY
+    a = p.op.a
+    for s, y, rho in warm.pairs:
+        assert len(s) == len(y) == p.shape[1]
+        assert np.any(s[warm.face.signs == 0] != 0)
+        hs = a.T @ (a @ s) + p.mu * s
+        assert np.linalg.norm(y - hs) <= 1e-9 * np.linalg.norm(hs)
+        assert rho == pytest.approx(1.0 / float(s @ y), rel=1e-12)
+
+
+def test_ambient_pair_in_the_subface_hull_is_an_exact_reduced_pair():
+    # y = Q s with Q = A'A + mu*I.  When s lies in the difference hull of a
+    # subface F' of F (one support entry dropped), the pair reduced onto F''s
+    # basis B' is a secant pair of the reduced Hessian: B''y = (B''QB')(B''s).
+    rng = np.random.default_rng(17)
+    m, n, mu = 30, 16, 1e-3
+    a = rng.normal(size=(m, n))
+    q = a.T @ a + mu * np.eye(n)
+    w = rng.uniform(0.5, 2.0, size=n)
+    signs = np.zeros(n)
+    support = rng.choice(n, 7, replace=False)
+    signs[support] = rng.choice([-1.0, 1.0], size=7)
+    sub = signs.copy()
+    sub[support[0]] = 0.0
+    basis = basis_init(FaceId("proper", sub), w, n)
+    b = basis_to_dense(basis)
+    assert b.shape[1] == basis_init(FaceId("proper", signs), w, n).k - 1
+    s = b @ rng.normal(size=basis.k)
+    y = q @ s
+    model = LbfgsModel(MEMORY, 1.0, basis)
+    assert model.update(s, y)
+    s_red, y_red, _ = model.pairs[0]
+    assert np.allclose(s_red, b.T @ s, rtol=0, atol=1e-12 * np.linalg.norm(s))
+    expected = (b.T @ q @ b) @ s_red
+    assert np.linalg.norm(y_red - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_pair_counters_change_no_iterate(monkeypatch):
+    # The solver reads the curvature check's verdict only to count it:
+    # verdicts that claim every pair was stored zero the rejection counter
+    # and leave every iterate as it was, in a cold solve and a warm one.
+    first, wider = _solved_and_widened()
+    s = np.ones(wider.shape[1])  # a carried pair of negative curvature
+    warm = dataclasses.replace(first.warm,
+                               pairs=((s, -s, -1.0),) + first.warm.pairs[1:])
+    runs = [(_sphere_walk_64x128(), None, None), (wider, 1.01 * first.x, warm)]
+    options = SolverOptions(max_iter=300, trace=True)
+    counted = [hybrid_solve(p, x0, options, warm=warm) for p, x0, warm in runs]
+    assert all(type(r.pairs_rejected) is type(r.warm_pairs) is int
+               for r in counted)
+    assert counted[1].pairs_rejected > 0 and counted[1].warm_pairs > 0
+    update = LbfgsModel.update
+    monkeypatch.setattr(LbfgsModel, "update",
+                        lambda model, s, y: update(model, s, y) or True)
+    for (p, x0, warm), report in zip(runs, counted):
+        claimed = hybrid_solve(p, x0, options, warm=warm)
+        assert claimed.pairs_rejected == 0
+        assert claimed.warm_pairs == (len(warm.pairs) if warm else 0)
+        assert np.array_equal(claimed.x, report.x)
+        assert [(t.step_kind, t.f) for t in claimed.trace] == \
+            [(t.step_kind, t.f) for t in report.trace]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+def test_very_large_radius_ends_optimal():
+    # At an interior optimum lambda is rounding noise, and the dual's
+    # -tau*lambda term scales it by tau = 1e8 times the generated radius.
+    p = gen_instance(GeneratorSpec(m=64, n=128, k=5), 0).problem()
+    report = hybrid_solve(LassoProblem(op=p.op, b=p.b, tau=1e8 * p.tau))
+    assert report.status == STATUS_OPTIMAL
 
 
 def test_lbfgs_empty_buffer_direction():
