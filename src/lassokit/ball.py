@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,7 +27,16 @@ def prox_weighted_l1(u: NDArray, lam: float, w: NDArray) -> NDArray:
     return np.sign(u) * np.maximum(np.abs(u) - lam * w, 0.0)
 
 
-def threshold(a: NDArray, w: NDArray, radius: float) -> float:
+@lru_cache(maxsize=16)
+def _unit(n: int) -> tuple[NDArray, NDArray]:
+    """Read-only unit weights of length n and their running sums 1, 2, ..., n."""
+    ones, counts = np.ones(n), np.arange(1.0, n + 1.0)
+    ones.setflags(write=False)
+    counts.setflags(write=False)
+    return ones, counts
+
+
+def threshold(a: NDArray, w: NDArray | None, radius: float) -> float:
     """Smallest lam >= 0 with sum_i w_i max(a_i - lam*w_i, 0) <= radius, for a >= 0.
 
     The left side falls piecewise linearly in lam, with breakpoints a_i/w_i.
@@ -35,19 +45,31 @@ def threshold(a: NDArray, w: NDArray, radius: float) -> float:
     the last k of the prefix holds the threshold.  At radius 0 the prefix
     is empty (the k = 1 root is the largest breakpoint itself, but rounds
     about it), and the threshold is the largest breakpoint.  O(n log n).
+
+    w=None means unit weights: the breakpoints are the values themselves,
+    so they are sorted directly, with the same sums as at w = 1 bit for bit.
     """
-    if float(np.dot(w, a)) <= radius:
-        return 0.0
-    ratios = a / w
-    order = np.argsort(ratios)[::-1]
-    t = ratios[order]
-    lam_k = (np.cumsum((w * a)[order]) - radius) / np.cumsum((w * w)[order])
+    if w is None:
+        ones, counts = _unit(len(a))
+        if float(np.dot(ones, a)) <= radius:
+            return 0.0
+        t = a.copy()
+        t.sort()
+        t = t[::-1]
+        lam_k = (t.cumsum() - radius) / counts
+    else:
+        if float(np.dot(w, a)) <= radius:
+            return 0.0
+        ratios = a / w
+        order = np.argsort(ratios)[::-1]
+        t = ratios[order]
+        lam_k = (np.cumsum((w * a)[order]) - radius) / np.cumsum((w * w)[order])
     k = int(np.count_nonzero(lam_k < t)) if radius > 0 else 0
     return max(float(lam_k[k - 1]), 0.0) if k else float(t[0])
 
 
-def project(u: NDArray, w: NDArray, tau: float) -> tuple[NDArray, float]:
-    """Euclidean projection onto {x : sum_i w_i |x_i| <= tau}.
+def project(u: NDArray, w: NDArray | None, tau: float) -> tuple[NDArray, float]:
+    """Euclidean projection onto {x : sum_i w_i |x_i| <= tau}; w=None for unit weights.
 
     Returns the projected point and the smallest threshold lam >= 0 such
     that the soft-thresholded point is feasible.  Soft thresholding
@@ -57,18 +79,27 @@ def project(u: NDArray, w: NDArray, tau: float) -> tuple[NDArray, float]:
     zero (max|u| near tau/eps) has no scale and is returned as it is.
     """
     u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape:
-        raise ValueError(f"weight vector length {w.shape[0]} != point length {u.shape[0]}")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    if w is not None:
+        w = np.asarray(w, dtype=float)
+        if u.shape != w.shape:
+            raise ValueError(
+                f"weight vector length {w.shape[0]} != point length {u.shape[0]}")
+        if np.any(w <= 0):
+            raise ValueError("weights must be strictly positive")
     if tau < 0:
         raise ValueError("radius must be nonnegative")
-    lam = threshold(np.abs(u), w, tau)
+    a = np.abs(u)
+    lam = threshold(a, w, tau)
     if lam == 0.0:
         return u.copy(), 0.0
-    x = prox_weighted_l1(u, lam, w)
-    norm = weighted_l1_norm(x, w)
+    if w is None:
+        mag = np.maximum(a - lam, 0.0)
+        norm = float(np.dot(_unit(len(a))[0], mag))
+    else:
+        mag = np.maximum(a - lam * w, 0.0)
+        norm = float(np.dot(w, mag))
+    # sign(u)*mag, not copysign: a -0.0 entry of u stays a +0.0 entry of x.
+    x = np.sign(u) * mag
     if norm > 0.0 and not tau * (1.0 - FEAS_TOL) <= norm <= tau * (1.0 + FEAS_TOL):
         x *= tau / norm
     return x, lam
@@ -92,8 +123,10 @@ class FaceId:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaceId):
             return NotImplemented
-        # array_equal holds None equal to None and to no array.
-        return self.kind == other.kind and np.array_equal(self.signs, other.signs)
+        a, b = self.signs, other.signs
+        if a is None or b is None:
+            return self.kind == other.kind and a is b
+        return self.kind == other.kind and a.shape == b.shape and bool((a == b).all())
 
     @property
     def support(self) -> NDArray:
@@ -164,9 +197,9 @@ def first_sign_flip(x: NDArray, d: NDArray) -> float:
     difference hull, which keeps the weighted norm fixed.
     """
     mask = x * d < 0
-    if not np.any(mask):
+    if not mask.any():
         return np.inf
-    return float(np.min(-x[mask] / d[mask]))
+    return -float((x[mask] / d[mask]).max())
 
 
 def max_step_on_face(x: NDArray, d: NDArray, w: NDArray, tau: float) -> float:

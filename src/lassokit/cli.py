@@ -102,6 +102,8 @@ def cmd_solve(args) -> int:
         "face_phases": report.face_phases,
         "phase_ends": report.phase_ends,
         "pairs_rejected": report.pairs_rejected,
+        "forward_products": report.forward_products,
+        "adjoint_products": report.adjoint_products,
         "tau": problem.tau,
         "time_sec": report.time_sec,
     })
@@ -136,6 +138,8 @@ def cmd_root(args) -> int:
         "misfit": report.misfit,
         "sigma": report.sigma,
         "subproblems": report.subproblems,
+        "forward_products": report.forward_products,
+        "adjoint_products": report.adjoint_products,
         "time_sec": report.time_sec,
         "path": [dataclasses.asdict(state) for state in report.path],
     })

@@ -18,21 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .ball import project, threshold
+# No function here projects, but perfbench/tracer.py binds
+# lassokit.duality.project all the same.
+from .ball import project, threshold  # noqa: F401
 from .model import Iterate, LassoProblem
 
 
-def dual_weighted_inf_norm(z: NDArray, w: NDArray) -> float:
-    """max_i |z_i| / w_i, the norm dual to the weighted one-norm."""
-    return float(np.max(np.abs(z) / w)) if len(z) else 0.0
-
-
-def projected_gradient_residual(problem: LassoProblem, iterate: Iterate) -> float:
-    """||P(x - g) - x|| / max(1, ||g||); zero exactly at stationary points."""
-    p, _ = project(iterate.x - iterate.g, problem.w, problem.tau)
-    return float(np.linalg.norm(p - iterate.x)) / max(
-        1.0, float(np.linalg.norm(iterate.g))
-    )
+def dual_weighted_inf_norm(z: NDArray, w: NDArray | None) -> float:
+    """max_i |z_i| / w_i, the norm dual to the weighted one-norm; w=None for unit weights."""
+    if not len(z):
+        return 0.0
+    return float((np.abs(z) if w is None else np.abs(z) / w).max())
 
 
 @dataclass
@@ -45,26 +41,26 @@ class DualCertificate:
 
 
 def certificate_augmented(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
-    """Multiplier read off the residual of the stacked (A; sqrt(mu) I) system."""
-    y = -iterate.r
-    x = iterate.x
-    z = -iterate.g  # A'y - mu*x - c
-    lam = dual_weighted_inf_norm(z, problem.w)
-    obj = (
-        float(y @ problem.b)
-        - problem.tau * lam
-        - 0.5 * float(y @ y)
-        - 0.5 * problem.mu * float(x @ x)
-    )
+    """Multiplier read off the residual of the stacked (A; sqrt(mu) I) system.
+
+    The dual point is y = -r, with A'y - mu*x - c = -g.  Negating a vector
+    negates its dot products exactly, so r and g are read as they are.
+    """
+    r = iterate.r
+    lam = dual_weighted_inf_norm(iterate.g, problem.ball_w)
+    obj = -float(r @ problem.b) - problem.tau * lam - 0.5 * float(r @ r)
+    if problem.mu > 0:
+        obj -= 0.5 * problem.mu * float(iterate.x @ iterate.x)
     return DualCertificate(lam, obj)
 
 
-def optimal_dual_lambda(z: NDArray, w: NDArray, tau: float, mu: float) -> float:
+def optimal_dual_lambda(z: NDArray, w: NDArray | None, tau: float, mu: float) -> float:
     """argmin over lam >= 0 of tau*lam + (1/2mu) * ||max(z - lam*w, 0)||^2.
 
     z must be nonnegative.  The derivative vanishes where
     sum_i w_i max(z_i - lam*w_i, 0) = mu*tau: the projection threshold of z
-    onto the weighted one-norm ball of radius mu*tau.
+    onto the weighted one-norm ball of radius mu*tau.  w=None for unit
+    weights.
     """
     if mu <= 0:
         raise ValueError("optimized multiplier requires mu > 0")
@@ -72,14 +68,15 @@ def optimal_dual_lambda(z: NDArray, w: NDArray, tau: float, mu: float) -> float:
 
 
 def certificate_optimized(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
-    y = -iterate.r
+    """The multiplier optimized for the dual point y = -r (mu > 0)."""
+    r, w = iterate.r, problem.ball_w
     z = np.abs(iterate.g - problem.mu * iterate.x)  # |A'y - c|
-    lam = optimal_dual_lambda(z, problem.w, problem.tau, problem.mu)
-    slack = np.maximum(z - lam * problem.w, 0.0)
+    lam = optimal_dual_lambda(z, w, problem.tau, problem.mu)
+    slack = np.maximum(z - lam if w is None else z - lam * w, 0.0)
     obj = (
-        float(y @ problem.b)
+        -float(r @ problem.b)
         - problem.tau * lam
-        - 0.5 * float(y @ y)
+        - 0.5 * float(r @ r)
         - float(slack @ slack) / (2.0 * problem.mu)
     )
     return DualCertificate(lam, obj)

@@ -62,10 +62,11 @@ def apply_basis(basis: FaceBasis, z: NDArray) -> NDArray:
     if len(z) != basis.k:
         raise ValueError(f"reduced vector length {len(z)} != basis dimension {basis.k}")
     v = basis.v
-    y = (-basis.beta * float(v[1:] @ z)) * v  # H [0; z]
+    y = (-basis.beta * float(v[1:].dot(z))) * v  # H [0; z]
     y[1:] += z
+    y *= basis.signs
     out = np.zeros(basis.n)
-    out[basis.support] = basis.signs * y
+    out[basis.support] = y
     return out
 
 
@@ -74,8 +75,9 @@ def apply_basis_adjoint(basis: FaceBasis, x: NDArray) -> NDArray:
     if len(x) != basis.n:
         raise ValueError(f"ambient vector length {len(x)} != dimension {basis.n}")
     v = basis.v
-    y = basis.signs * np.asarray(x, dtype=float)[basis.support]
-    return y[1:] - (basis.beta * float(v @ y)) * v[1:]  # (H y)[1:]
+    y = np.asarray(x, dtype=float)[basis.support]
+    y *= basis.signs
+    return y[1:] - (basis.beta * float(v.dot(y))) * v[1:]  # (H y)[1:]
 
 
 def basis_to_dense(basis: FaceBasis) -> NDArray:

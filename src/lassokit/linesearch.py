@@ -4,6 +4,7 @@ along the full projection trajectory."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,9 @@ def _accept(problem: LassoProblem, iterate: Iterate, xa: NDArray, alpha: float,
 
     ra is the residual A xa - b; it is formed here when not given.
     """
-    dx = xa - iterate.x
-    if float(np.linalg.norm(dx)) <= 1e-15 * (1.0 + float(np.linalg.norm(iterate.x))):
+    x = iterate.x
+    dx = xa - x
+    if math.sqrt(dx @ dx) <= 1e-15 * (1.0 + math.sqrt(x @ x)):
         return SearchResult("stationary", iterate, 0.0, trials)
     trial = evaluate(problem, xa, r=ra)
     if trial.f <= fmax + SUFF_DECREASE * float(iterate.g @ dx):
@@ -102,7 +104,7 @@ def nonmonotone_armijo_backtrack(
     A d = (A x1 - b) - r.  A zero-length accepted move reports `stationary`.
     """
     x, r, g = iterate.x, iterate.r, iterate.g
-    x1, _ = project(x - alpha0 * g, problem.w, problem.tau)
+    x1, _ = project(x - alpha0 * g, problem.ball_w, problem.tau)
     r1 = problem.op.apply(x1) - problem.b
     res = _accept(problem, iterate, x1, 1.0, fmax, 1, r1)
     if res is not None:
@@ -145,13 +147,12 @@ def face_wolfe_search(
         return SearchResult("failed")
     ray = RayObjective(problem, x, d, r=iterate.r)
     a = min(ray.minimizer(gd), alpha_bound)  # inf on a flat uncapped ray
-    if a <= 0 or not np.isfinite(a):
+    if a <= 0 or not math.isfinite(a):
         return SearchResult("failed")
     xa = x + a * d
     if a == alpha_bound:
-        flip = x * d < 0
-        flip[flip] = -x[flip] / d[flip] == a
-        xa[flip] = 0.0
+        shrink = np.flatnonzero(x * d < 0)
+        xa[shrink[x[shrink] / d[shrink] == -a]] = 0.0
     it = evaluate(problem, xa, r=iterate.r + a * ray.ad)
     return SearchResult("accepted", it, a, 1)
 

@@ -6,8 +6,7 @@ over the weighted one-norm ball of radius tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,11 @@ class DimensionMismatchError(ValueError):
 
 
 class LinearOperator:
-    """Matrix-free linear operator with forward, adjoint, and column access."""
+    """Matrix-free linear operator with forward, adjoint, and column access.
+
+    `forward_products` and `adjoint_products` count the products it has
+    formed; a column read without a column callable is a forward product.
+    """
 
     def __init__(
         self,
@@ -34,12 +37,15 @@ class LinearOperator:
         self._apply = apply
         self._adjoint = apply_adjoint
         self._column = column
+        self.forward_products = 0
+        self.adjoint_products = 0
 
     def apply(self, x: NDArray) -> NDArray:
         if len(x) != self.shape[1]:
             raise DimensionMismatchError(
                 f"operator expects length {self.shape[1]}, got {len(x)}"
             )
+        self.forward_products += 1
         return self._apply(x)
 
     def apply_adjoint(self, y: NDArray) -> NDArray:
@@ -47,6 +53,7 @@ class LinearOperator:
             raise DimensionMismatchError(
                 f"adjoint expects length {self.shape[0]}, got {len(y)}"
             )
+        self.adjoint_products += 1
         return self._adjoint(y)
 
     def column(self, i: int) -> NDArray:
@@ -54,6 +61,7 @@ class LinearOperator:
             return self._column(i)
         e = np.zeros(self.shape[1])
         e[i] = 1.0
+        self.forward_products += 1
         return self._apply(e)
 
     def __matmul__(self, x: NDArray) -> NDArray:
@@ -80,7 +88,14 @@ class DenseOperator(LinearOperator):
 
 @dataclass
 class LassoProblem:
-    """Quadratic objective over a weighted one-norm ball of radius tau."""
+    """Quadratic objective over a weighted one-norm ball of radius tau.
+
+    `b`, `w` and `c` are held as read-only copies, so the facts derived from
+    them once stay true: `ball_w` is the weights as the ball kernels take
+    them, None when every weight is one, and `zero_c` says that c is zero.
+    Assigning one of the three fields again stores a new copy and derives
+    the facts again.
+    """
 
     op: LinearOperator
     b: NDArray
@@ -89,25 +104,32 @@ class LassoProblem:
     mu: float = 0.0
     c: NDArray | None = None
 
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("b", "w", "c") and value is not None:
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+            if name == "w":
+                object.__setattr__(self, "ball_w",
+                                   None if np.all(value == 1.0) else value)
+            elif name == "c":
+                object.__setattr__(self, "zero_c", not np.any(value))
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
         m, n = self.op.shape
-        self.b = np.asarray(self.b, dtype=float)
         if len(self.b) != m:
             raise DimensionMismatchError(f"b has length {len(self.b)}, expected {m}")
         if self.w is None:
             self.w = np.ones(n)
         else:
-            self.w = np.asarray(self.w, dtype=float)
             if len(self.w) != n:
                 raise DimensionMismatchError(f"w has length {len(self.w)}, expected {n}")
             if np.any(self.w <= 0):
                 raise ValueError("weights must be strictly positive")
         if self.c is None:
             self.c = np.zeros(n)
-        else:
-            self.c = np.asarray(self.c, dtype=float)
-            if len(self.c) != n:
-                raise DimensionMismatchError(f"c has length {len(self.c)}, expected {n}")
+        elif len(self.c) != n:
+            raise DimensionMismatchError(f"c has length {len(self.c)}, expected {n}")
         for name in ("b", "w", "c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has a non-finite entry")
@@ -123,6 +145,9 @@ class LassoProblem:
         return self.op.shape
 
 
+_UNSET = object()
+
+
 @dataclass
 class Iterate:
     """Point with its residual r = Ax - b and value f.
@@ -136,20 +161,30 @@ class Iterate:
     r: NDArray
     f: float
     problem: LassoProblem
+    _g: NDArray | None = field(default=None, init=False, repr=False, compare=False)
+    _face: object = field(default=_UNSET, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def g(self) -> NDArray:
         """A'r + mu*x + c."""
-        p = self.problem
-        g = p.op.apply_adjoint(self.r) + p.c
-        if p.mu > 0:
-            g = g + p.mu * self.x
+        g = self._g
+        if g is None:
+            p = self.problem
+            g = p.op.apply_adjoint(self.r)
+            if not p.zero_c:
+                g = g + p.c
+            if p.mu > 0:
+                g = g + p.mu * self.x
+            self._g = g
         return g
 
-    @cached_property
+    @property
     def face(self) -> FaceId | None:
-        p = self.problem
-        return face_of(self.x, p.w, p.tau) if p.tau > 0 else None
+        face = self._face
+        if face is _UNSET:
+            p = self.problem
+            face = self._face = face_of(self.x, p.w, p.tau) if p.tau > 0 else None
+        return face
 
 
 def objective_value(problem: LassoProblem, x: NDArray,
@@ -157,7 +192,9 @@ def objective_value(problem: LassoProblem, x: NDArray,
     """Objective and residual at x; one forward product unless r = Ax - b is given."""
     if r is None:
         r = problem.op.apply(x) - problem.b
-    f = 0.5 * float(r @ r) + float(problem.c @ x)
+    f = 0.5 * float(r @ r)
+    if not problem.zero_c:
+        f += float(problem.c @ x)
     if problem.mu > 0:
         f += 0.5 * problem.mu * float(x @ x)
     return f, r
@@ -176,7 +213,7 @@ class RayObjective:
     Every line search reads its step from here.  `ad` is the product A d,
     formed here unless given, so the residual at x + alpha*d is r + alpha*ad;
     r = Ax - b is formed unless given.  No search reads c0 = f(x), so it is
-    formed on first read.
+    formed on first read.  Terms of a zero mu or c are left out.
     """
 
     def __init__(self, problem: LassoProblem, x: NDArray, d: NDArray,
@@ -184,13 +221,20 @@ class RayObjective:
         self._problem, self._x = problem, x
         self._r = r = problem.op.apply(x) - problem.b if r is None else r
         self.ad = ad = problem.op.apply(d) if ad is None else ad
-        mu = problem.mu
-        self.c2 = 0.5 * (float(ad @ ad) + mu * float(d @ d))
-        self.c1 = float(r @ ad) + mu * float(x @ d) + float(problem.c @ d)
+        self._c0 = None
+        c2, c1 = float(ad @ ad), float(r @ ad)
+        if problem.mu > 0:
+            c2 += problem.mu * float(d @ d)
+            c1 += problem.mu * float(x @ d)
+        if not problem.zero_c:
+            c1 += float(problem.c @ d)
+        self.c2, self.c1 = 0.5 * c2, c1
 
-    @cached_property
+    @property
     def c0(self) -> float:
-        return objective_value(self._problem, self._x, self._r)[0]
+        if self._c0 is None:
+            self._c0 = objective_value(self._problem, self._x, self._r)[0]
+        return self._c0
 
     def __call__(self, alpha: float) -> float:
         return self.c0 + alpha * (self.c1 + alpha * self.c2)

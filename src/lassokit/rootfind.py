@@ -64,6 +64,8 @@ class RootReport:
     status: str
     subproblems: int
     time_sec: float
+    forward_products: int  # products A x the run formed
+    adjoint_products: int  # products A'y the run formed
     path: list[ParetoState] = field(default_factory=list)
 
 
@@ -115,11 +117,11 @@ def newton_tau_update(tau: float, misfit: float, sigma: float, lam: float) -> fl
 
 
 def scaled_start(x: NDArray, tau_prev: float, tau: float,
-                 w: NDArray) -> NDArray:
+                 w: NDArray | None) -> NDArray:
     """The scale predictor P_tau(x*tau/tau_prev) (x itself after radius 0).
 
     It keeps the signs of x, and lands on the new sphere when x lies on the
-    sphere of radius tau_prev.
+    sphere of radius tau_prev.  w=None for unit weights.
     """
     if tau_prev > 0:
         x = x * (tau / tau_prev)
@@ -162,6 +164,8 @@ def solve_bpdn(
         raise ValueError(f"unknown solver {solver!r}")
     options = options or SolverOptions()
     solve = hybrid_solve if solver == "hybrid" else spg_solve
+    op = problem.op
+    fwd0, adj0 = op.forward_products, op.adjoint_products
     b = problem.b
     norm_b = float(np.linalg.norm(b))
     tol = root_tol * max(sigma, 1e-3)
@@ -172,7 +176,8 @@ def solve_bpdn(
         x = np.zeros(problem.shape[1])
         return RootReport(x=x, tau=0.0, misfit=norm_b, sigma=sigma,
                           status=STATUS_CONVERGED, subproblems=0,
-                          time_sec=time.perf_counter() - start, path=path)
+                          time_sec=time.perf_counter() - start,
+                          forward_products=0, adjoint_products=0, path=path)
 
     # The radius-zero subproblem is trivial: x = 0, multiplier from b.
     lam = dual_weighted_inf_norm(problem.op.apply_adjoint(b) - problem.c,
@@ -198,7 +203,7 @@ def solve_bpdn(
                 0.1, 2.0 * KAPPA * abs(misfit - sigma) / max(misfit, tol)))
         sub = LassoProblem(op=problem.op, b=b, tau=tau, w=problem.w,
                            mu=problem.mu, c=problem.c)
-        x0 = scaled_start(x, path[-1].tau, tau, sub.w)
+        x0 = scaled_start(x, path[-1].tau, tau, sub.ball_w)
         report: SolverReport = solve(
             sub, x0, dataclasses.replace(options, opt_tol=sub_tol), warm=warm)
         x = report.x
@@ -230,4 +235,6 @@ def solve_bpdn(
 
     return RootReport(x=x, tau=tau, misfit=misfit, sigma=sigma, status=status,
                       subproblems=len(path) - 1,
-                      time_sec=time.perf_counter() - start, path=path)
+                      time_sec=time.perf_counter() - start,
+                      forward_products=op.forward_products - fwd0,
+                      adjoint_products=op.adjoint_products - adj0, path=path)

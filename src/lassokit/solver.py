@@ -50,6 +50,7 @@ so a warm start from another problem can cost steps but never feasibility.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -149,6 +150,8 @@ class SolverReport:
     pairs_rejected: int  # quasi-Newton pairs the curvature check turned away
     warm_pairs: int  # carried pairs the first model stored
     warm: WarmStart  # the start it hands to a solve at another radius
+    forward_products: int  # products A x the solve formed
+    adjoint_products: int  # products A'y the solve formed
     trace: list[TraceRecord] = field(default_factory=list)
 
     @property
@@ -178,24 +181,29 @@ class LbfgsModel:
             s = apply_basis_adjoint(self.basis, s)
             y = apply_basis_adjoint(self.basis, y)
         sy = float(s @ y)
-        if sy <= CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy <= CURVATURE_EPS * math.sqrt(s @ s) * math.sqrt(y @ y):
             return False
         self.pairs.append((s.copy(), y.copy(), 1.0 / sy))
         return True
 
     def direction(self, g: NDArray) -> NDArray:
-        """Two-loop recursion: -H g."""
+        """Two-loop recursion: -H g.
+
+        It takes s.dot(q), equal to s @ q bit for bit, which skips the
+        matmul dispatch: up to 2*MEMORY products a call.
+        """
         q = g.copy() if self.basis is None else apply_basis_adjoint(self.basis, g)
         alphas = []
         for s, y, rho in reversed(self.pairs):
-            a = rho * float(s @ q)
+            a = rho * float(s.dot(q))
             alphas.append(a)
             q -= a * y
         q *= self.h0
         for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
-            b = rho * float(y @ q)
+            b = rho * float(y.dot(q))
             q += (a - b) * s
-        return -q if self.basis is None else apply_basis(self.basis, -q)
+        np.negative(q, out=q)
+        return q if self.basis is None else apply_basis(self.basis, q)
 
 
 def _initial_bb(g: NDArray) -> float:
@@ -241,12 +249,14 @@ def _solve(
     warm: WarmStart | None,
 ) -> SolverReport:
     start = time.perf_counter()
+    op = problem.op
+    fwd0, adj0 = op.forward_products, op.adjoint_products
     options = options or SolverOptions()
     m, n = problem.shape
     max_iter = options.max_iter if options.max_iter is not None else 10 * m
     if x0 is None:
         x0 = np.zeros(n)
-    x, _ = project(np.asarray(x0, dtype=float), problem.w, problem.tau)
+    x, _ = project(np.asarray(x0, dtype=float), problem.ball_w, problem.tau)
     it = evaluate(problem, x)
     oracle = StoppingOracle(problem, options.opt_tol)
     history: deque[float] = deque([it.f], maxlen=HISTORY_LEN)
@@ -368,6 +378,8 @@ def _solve(
         trace=trace, warm=WarmStart(
             alpha_bb, model.face if model else None, model.h0 if model else alpha_bb,
             tuple((s, y, 1.0 / sy) for s, y in memory if (sy := float(s @ y)) > 0)),
+        forward_products=op.forward_products - fwd0,
+        adjoint_products=op.adjoint_products - adj0,
     )
 
 

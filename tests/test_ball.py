@@ -14,6 +14,7 @@ from lassokit.ball import (
     threshold,
     weighted_l1_norm,
 )
+from lassokit.duality import optimal_dual_lambda
 
 
 def test_weighted_norm():
@@ -124,6 +125,7 @@ def test_face_signs_are_an_int8_array():
     assert face.dim == 1
     assert face == FaceId("proper", (1, 0, -1))
     assert face != FaceId("proper", (1, 0, 1))
+    assert face != FaceId("proper", (1, 0))
     assert face != FaceId("interior")
     assert FaceId("interior") == FaceId("interior")
 
@@ -189,3 +191,50 @@ def test_max_step_random_feasibility():
         else:
             # Boundary-crossing step: the ray is still feasible before it.
             assert weighted_l1_norm(probe, w) <= tau * (1.0 + 1e-8)
+
+
+def _kernel_inputs():
+    """Points with ties, exact zeros and -0.0 entries, with radii from 0 past
+    the one-norm, at n = 1 and beyond."""
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 7, 64, 257):
+        for _ in range(20):
+            u = rng.normal(size=n)
+            u[rng.random(n) < 0.2] = 0.0
+            u[rng.random(n) < 0.1] = -0.0
+            if n > 1:  # ties, of equal and of opposite sign
+                u[rng.integers(n, size=n // 2)] = u[0]
+                u[rng.integers(n, size=n // 4)] = -u[1]
+            total = float(np.dot(np.ones(n), np.abs(u)))
+            for tau in (0.0, 0.3 * total, total, 2.0 * total + 1.0):
+                yield u, tau
+
+
+def test_unit_weight_kernels_equal_the_weighted_path_at_w_one():
+    for u, tau in _kernel_inputs():
+        ones = np.ones(len(u))
+        a = np.abs(u)
+        assert threshold(a, None, tau) == threshold(a, ones, tau)
+        x, lam = project(u, None, tau)
+        x1, lam1 = project(u, ones, tau)
+        assert lam == lam1
+        assert x.tobytes() == x1.tobytes()
+        for mu in (1e-3, 0.5):
+            assert (optimal_dual_lambda(a, None, tau, mu)
+                    == optimal_dual_lambda(a, ones, tau, mu))
+
+
+def test_project_is_the_soft_threshold_with_its_norm():
+    rng = np.random.default_rng(19)
+    for u, tau in _kernel_inputs():
+        for w in (None, rng.uniform(0.5, 2.0, size=len(u))):
+            x, lam = project(u, w, tau)
+            if lam == 0.0:
+                assert x.tobytes() == u.tobytes()
+                continue
+            ww = np.ones(len(u)) if w is None else w
+            expect = np.sign(u) * np.maximum(np.abs(u) - lam * ww, 0.0)
+            norm = float(np.dot(ww, np.abs(expect)))
+            if norm > 0.0 and not tau * (1 - FEAS_TOL) <= norm <= tau * (1 + FEAS_TOL):
+                expect *= tau / norm
+            assert x.tobytes() == expect.tobytes()

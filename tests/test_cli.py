@@ -43,6 +43,7 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
                                          "solve_end"}
     assert record["face_phases"] == sum(record["phase_ends"].values())
     assert type(record["pairs_rejected"]) is int
+    assert record["forward_products"] > 0 and record["adjoint_products"] > 0
     x = lio.read_vector(str(xfile))
     assert len(x) == 40
     with open(trace, newline="") as fh:
@@ -93,6 +94,7 @@ def test_root_converges(tmp_path, capsys):
     assert path[-1]["tau"] == record["tau"]
     assert path[-1]["misfit"] == record["misfit"]
     assert all(entry["warm_pairs"] >= 0 for entry in path)
+    assert record["forward_products"] > 0 and record["adjoint_products"] > 0
 
 
 def test_root_unreachable_sigma_exits_4(tmp_path, capsys):

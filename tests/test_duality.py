@@ -11,7 +11,6 @@ from lassokit.duality import (
     certificate_optimized,
     dual_weighted_inf_norm,
     optimal_dual_lambda,
-    projected_gradient_residual,
     relative_gap,
 )
 from lassokit.model import DenseOperator, LassoProblem, evaluate
@@ -240,10 +239,20 @@ def test_stopping_oracle_fires_at_optimum():
     assert oracle.lambda_best >= 0.0
 
 
-def test_projected_gradient_residual_interior():
-    rng = np.random.default_rng(8)
-    p = _problem(rng, tau=1e6)  # huge ball: projection is the identity
-    it = _feasible(rng, p)
-    rho = projected_gradient_residual(p, it)
-    gnorm = float(np.linalg.norm(it.g))
-    assert rho == pytest.approx(gnorm / max(1.0, gnorm), rel=1e-12)
+def test_augmented_certificate_equals_the_negated_formula():
+    # y = -r and A'y - mu*x - c = -g, negated as vectors: reading r and g as
+    # they are must give the same multiplier and objective bit for bit.
+    rng = np.random.default_rng(18)
+    for mu in (0.0, 0.3):
+        for weighted in (False, True):
+            p = _problem(rng, mu=mu, tau=0.7, weighted=weighted)
+            if weighted:
+                p.c = rng.normal(size=p.shape[1])
+            it = _feasible(rng, p)
+            y, z = -it.r, -it.g
+            lam = float(np.max(np.abs(z) / p.w))
+            obj = (float(y @ p.b) - p.tau * lam - 0.5 * float(y @ y)
+                   - 0.5 * p.mu * float(it.x @ it.x))
+            cert = certificate_augmented(p, it)
+            assert cert.lam == lam
+            assert cert.objective == obj

@@ -169,3 +169,42 @@ def test_solver_options_validation():
     for bad in (-1, -3, 2.5, float("nan"), "10"):
         with pytest.raises(ValueError, match="max_iter"):
             SolverOptions(max_iter=bad)
+
+
+def test_problem_facts_follow_reassigned_fields():
+    rng = np.random.default_rng(18)
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=5)
+    p = LassoProblem(op=DenseOperator(a), b=b, tau=1.0)
+    assert p.ball_w is None and p.zero_c
+    x = np.array([0.3, -0.2, 0.1])
+    f0 = evaluate(p, x).f
+    # Reassigned after construction, as a caller may: the facts follow.
+    c = rng.normal(size=3)
+    p.c = c
+    assert not p.zero_c
+    assert evaluate(p, x).f == pytest.approx(f0 + float(c @ x), rel=1e-14)
+    assert np.allclose(evaluate(p, x).g, a.T @ (a @ x - b) + c)
+    w = rng.uniform(0.5, 2.0, size=3)
+    p.w = w
+    assert p.ball_w is p.w and np.array_equal(p.w, w)
+    p.w, p.c = np.ones(3), np.zeros(3)
+    assert p.ball_w is None and p.zero_c
+    assert evaluate(p, x).f == f0
+
+
+def test_problem_holds_read_only_copies():
+    rng = np.random.default_rng(19)
+    b, w, c = rng.normal(size=5), rng.uniform(1.0, 2.0, size=3), rng.normal(size=3)
+    p = LassoProblem(op=DenseOperator(rng.normal(size=(5, 3))), b=b, tau=1.0,
+                     w=w, c=c)
+    for name in ("b", "w", "c"):
+        with pytest.raises(ValueError):
+            getattr(p, name)[0] = 7.0
+    p.c = c
+    with pytest.raises(ValueError):
+        p.c[0] = 7.0
+    # The caller's arrays stay writable, and writing them leaves p as it is.
+    for v, stored in ((b, p.b), (w, p.w), (c, p.c)):
+        assert v.flags.writeable
+        v[0] = 7.0
+        assert stored[0] != 7.0

@@ -253,3 +253,24 @@ def test_scale_predictor_lands_on_the_new_sphere():
         assert weighted_l1_norm(x0, w) == pytest.approx(tau, rel=1e-12)
         assert np.array_equal(np.sign(x0), np.sign(x))
     assert np.array_equal(scaled_start(np.zeros(50), 0.0, 2.0, w), np.zeros(50))
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+def test_root_report_counts_every_product(solver):
+    inst = gen_instance(GeneratorSpec(m=32, n=64, k=5), 3)
+    counts = {"fwd": 0, "adj": 0}
+
+    def forward(x):
+        counts["fwd"] += 1
+        return inst.a @ x
+
+    def adjoint(y):
+        counts["adj"] += 1
+        return inst.a.T @ y
+
+    op = LinearOperator(inst.a.shape, forward, adjoint)
+    report = solve_bpdn(LassoProblem(op=op, b=inst.b, tau=0.0), inst.sigma,
+                        solver=solver)
+    assert report.subproblems >= 2
+    assert report.forward_products == counts["fwd"] > 0
+    assert report.adjoint_products == counts["adj"] > 0

@@ -749,3 +749,43 @@ def test_lbfgs_newton_after_exact_line_searches():
         if np.linalg.norm(g) < 1e-12:
             break
     assert np.allclose(x, x_star, atol=1e-8)
+
+
+class _UncountedOperator(DenseOperator):
+    """The dense products without the operator's own counters."""
+
+    def apply(self, x):
+        return self._apply(x)
+
+    def apply_adjoint(self, y):
+        return self._adjoint(y)
+
+
+def test_product_counters_equal_a_wrapping_counter_and_change_no_iterate():
+    p = _sphere_walk_64x128()
+    a = p.op.a
+    counts = {"fwd": 0, "adj": 0}
+
+    def forward(x):
+        counts["fwd"] += 1
+        return a @ x
+
+    def adjoint(y):
+        counts["adj"] += 1
+        return a.T @ y
+
+    wrapped = LassoProblem(op=LinearOperator(a.shape, forward, adjoint),
+                           b=p.b, tau=p.tau)
+    plain = LassoProblem(op=_UncountedOperator(a), b=p.b, tau=p.tau)
+    for solve in (spg_solve, hybrid_solve):
+        counts.update(fwd=0, adj=0)
+        report = solve(wrapped)
+        assert type(report.forward_products) is type(report.adjoint_products) is int
+        assert report.forward_products == counts["fwd"] > 0
+        assert report.adjoint_products == counts["adj"] > 0
+        reference = solve(plain)
+        assert reference.forward_products == reference.adjoint_products == 0
+        assert (reference.status, reference.iterations) == (report.status,
+                                                            report.iterations)
+        assert reference.x.tobytes() == report.x.tobytes()
+        assert reference.f == report.f
