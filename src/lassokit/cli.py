@@ -4,7 +4,8 @@ Machine-first output: a single JSON run record on stdout for solve/root,
 CSV for bench, and plain PASS/FAIL lines for arc-audit.  Exit codes:
 0 success/optimal, 2 iteration or subproblem budget exhausted,
 3 line-search failure, 4 residual target sigma unreachable,
-64 malformed manifest or config.
+64 malformed manifest or config, or a bad number: a negative seed, or an
+arc-audit n below 1 or trial count below 0.  arc-audit exits 1 on a FAIL.
 """
 
 from __future__ import annotations
@@ -67,16 +68,19 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
+def _bad_input(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def cmd_solve(args) -> int:
     try:
         problem, data = lio.problem_from_manifest(args.manifest)
         options = _options_from_args(args)
     except (OSError, lio.ManifestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if problem is None:
-        print("error: manifest fixes sigma; use the root command", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input(exc)
+    if "tau" not in data:
+        return _bad_input("manifest fixes sigma; use the root command")
     solve = hybrid_solve if args.solver == "hybrid" else spg_solve
     report = solve(problem, options=options)
     if args.trace:
@@ -111,20 +115,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_root(args) -> int:
-    from .model import DenseOperator, LassoProblem
-
     try:
-        _, data = lio.problem_from_manifest(args.manifest)
-        problem = LassoProblem(op=DenseOperator(data["A"]), b=data["b"],
-                               tau=0.0, w=data.get("w"), mu=data["mu"],
-                               c=data.get("c"))
+        problem, data = lio.problem_from_manifest(args.manifest)
         options = _options_from_args(args)
     except (OSError, lio.ManifestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input(exc)
     if "sigma" not in data:
-        print("error: manifest fixes tau; use the solve command", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input("manifest fixes tau; use the solve command")
     report = solve_bpdn(problem, data["sigma"], options=options,
                         solver=args.solver)
     if args.out:
@@ -153,8 +150,7 @@ def cmd_gen(args) -> int:
                              noise=args.noise, tau_mult=args.tau_mult,
                              sigma_mult=args.sigma_mult)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input(exc)
     inst = gen_instance(spec, args.seed)
     os.makedirs(args.out, exist_ok=True)
     lio.write_matrix_market_array(os.path.join(args.out, "A.mtx"), inst.a)
@@ -177,23 +173,12 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(task: tuple) -> dict:
-    spec_kw, seed, solver, tol = task
-    inst = gen_instance(GeneratorSpec(**spec_kw), seed)
-    problem = inst.problem()
+def _bench_one(spec_kw: dict, seed: int, solver: str, tol: float) -> dict:
+    problem = gen_instance(GeneratorSpec(**spec_kw), seed).problem()
     solve = hybrid_solve if solver == "hybrid" else spg_solve
     report = solve(problem, options=SolverOptions(opt_tol=tol))
-    return {
-        "seed": seed,
-        "solver": solver,
-        "tol": tol,
-        "k": spec_kw["k"],
-        "dist": spec_kw["dist"],
-        "time": report.time_sec,
-        "iters": report.iterations,
-        "solved": report.status == STATUS_OPTIMAL,
-        "gap": report.gap,
-    }
+    return {"time": report.time_sec, "iters": report.iterations,
+            "solved": report.status == STATUS_OPTIMAL, "gap": report.gap}
 
 
 def cmd_bench(args) -> int:
@@ -201,8 +186,7 @@ def cmd_bench(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input(exc)
     try:
         base = {
             "m": int(cfg.get("m", 256)),
@@ -214,8 +198,9 @@ def cmd_bench(args) -> int:
         }
         ks = [int(k) for k in cfg.get("ks", [20])]
         dists = list(cfg.get("dists", ["pm_one"]))
-        solvers = list(cfg.get("solvers", ["spg", "hybrid"]))
-        tols = [float(t) for t in cfg.get("tols", [1e-6])]
+        # Each (solver, tol) makes one row, so a repeated one is dropped.
+        solvers = list(dict.fromkeys(cfg.get("solvers", ["spg", "hybrid"])))
+        tols = list(dict.fromkeys(float(t) for t in cfg.get("tols", [1e-6])))
         instances = int(cfg.get("instances", 5))
         for k in ks:
             for d in dists:
@@ -228,52 +213,32 @@ def cmd_bench(args) -> int:
         if instances < 1 and ks and dists and solvers and tols:
             raise ValueError(f"instances must be at least 1, got {instances}")
     except (TypeError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input(f"bad config: {exc}")
 
-    tasks = []
-    for k in ks:
-        for dist in dists:
-            spec_kw = dict(base, k=k, dist=dist)
-            for solver in solvers:
-                for tol in tols:
-                    for i in range(instances):
-                        tasks.append((spec_kw, args.seed + i, solver, tol))
-    results = [_bench_one(t) for t in tasks]
-
-    spg_times = {
-        (r["k"], r["dist"], r["tol"], r["seed"]): r["time"]
-        for r in results if r["solver"] == "spg"
-    }
     rows = []
     for k in ks:
         for dist in dists:
-            for solver in solvers:
-                for tol in tols:
-                    grp = [r for r in results
-                           if (r["k"], r["dist"], r["solver"], r["tol"])
-                           == (k, dist, solver, tol)]
-                    ratios = [
-                        spg_times[(k, dist, tol, r["seed"])] / r["time"]
-                        for r in grp
-                        if (k, dist, tol, r["seed"]) in spg_times
-                        and r["time"] > 0
-                    ]
-                    rows.append({
-                        "k": k,
-                        "dist": dist,
-                        "solver": solver,
-                        "tol": tol,
-                        "mean_time": statistics.fmean(r["time"] for r in grp),
-                        "mean_iters": statistics.fmean(r["iters"] for r in grp),
-                        "pct_solved": 100.0 * statistics.fmean(
-                            1.0 if r["solved"] else 0.0 for r in grp
-                        ),
-                        "median_gap": statistics.median(r["gap"] for r in grp),
-                        "mean_speedup_vs_spg": (
-                            statistics.fmean(ratios) if ratios else ""
-                        ),
-                    })
+            spec_kw = dict(base, k=k, dist=dist)
+            runs = {(solver, tol): [_bench_one(spec_kw, args.seed + i, solver, tol)
+                                    for i in range(instances)]
+                    for solver in solvers for tol in tols}
+            for (solver, tol), grp in runs.items():
+                spg = runs.get(("spg", tol), [])
+                ratios = [s["time"] / r["time"]
+                          for s, r in zip(spg, grp) if r["time"] > 0]
+                rows.append({
+                    "k": k,
+                    "dist": dist,
+                    "solver": solver,
+                    "tol": tol,
+                    "mean_time": statistics.fmean(r["time"] for r in grp),
+                    "mean_iters": statistics.fmean(r["iters"] for r in grp),
+                    "pct_solved": 100.0 * statistics.fmean(
+                        1.0 if r["solved"] else 0.0 for r in grp),
+                    "median_gap": statistics.median(r["gap"] for r in grp),
+                    "mean_speedup_vs_spg": (
+                        statistics.fmean(ratios) if ratios else ""),
+                })
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         wr = csv.DictWriter(out, fieldnames=[
@@ -289,6 +254,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_arc_audit(args) -> int:
+    if args.n < 1 or args.trials < 0:
+        return _bad_input(f"need n >= 1 and trials >= 0, got n={args.n} "
+                          f"and trials={args.trials}")
     rng = make_rng(args.seed)
     bound = 4 * args.n - 2
     worst = 0
@@ -363,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        return _bad_input(f"seed must be nonnegative, got {args.seed}")
     return args.func(args)
 
 

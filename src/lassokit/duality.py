@@ -36,9 +36,6 @@ class DualCertificate:
     lam: float
     objective: float
 
-    def gap(self, f: float) -> float:
-        return max(f - self.objective, 0.0)
-
 
 def certificate_augmented(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
     """Multiplier read off the residual of the stacked (A; sqrt(mu) I) system.
@@ -97,54 +94,29 @@ def relative_gap(f: float, dual_obj: float) -> float:
     return max(f - dual_obj, 0.0) / gap_scale(f)
 
 
-@dataclass
-class BestPair:
-    """Best primal point (x, its residual r, its value f) and best dual bound so far.
-
-    `r_exact` is False when r came from a step's update r + a*A d rather than
-    from A x - b, so that it (and f) drift from x by rounding.
-    """
-
-    f: float = np.inf
-    x: NDArray | None = None
-    r: NDArray | None = None
-    r_exact: bool = True
-    dual_obj: float = -np.inf
-    lam: float = 0.0
-
-    def update_primal(self, f: float, x: NDArray, r: NDArray,
-                      r_exact: bool = True) -> None:
-        if f < self.f:
-            self.f, self.x, self.r, self.r_exact = f, x, r, r_exact
-
-    def update_dual(self, cert: DualCertificate) -> None:
-        if cert.objective > self.dual_obj:
-            self.dual_obj = cert.objective
-            self.lam = cert.lam
-
-    @property
-    def gap_relative(self) -> float:
-        return relative_gap(self.f, self.dual_obj)
-
-
 class StoppingOracle:
-    """Tracks best primal/dual pair and decides optimality by relative gap."""
+    """Keeps the best iterate and the best dual bound with its multiplier,
+    and decides optimality by their relative gap.
+
+    Only a strictly lower f replaces the best iterate, so a NaN f never
+    does; it starts as a point of f = inf with no x or r.
+    """
 
     def __init__(self, problem: LassoProblem, opt_tol: float):
         self.problem = problem
         self.opt_tol = opt_tol
-        self.best = BestPair()
+        self.best = Iterate(x=None, r=None, f=np.inf, problem=problem)
+        self.dual_obj = -np.inf
+        self.lambda_best = 0.0
 
-    def update(self, iterate: Iterate, r_exact: bool = True) -> bool:
+    def update(self, iterate: Iterate) -> bool:
         cert = best_certificate(self.problem, iterate)
-        self.best.update_primal(iterate.f, iterate.x, iterate.r, r_exact)
-        self.best.update_dual(cert)
-        return self.best.gap_relative <= self.opt_tol
+        if iterate.f < self.best.f:
+            self.best = iterate
+        if cert.objective > self.dual_obj:
+            self.dual_obj, self.lambda_best = cert.objective, cert.lam
+        return self.gap <= self.opt_tol
 
     @property
     def gap(self) -> float:
-        return self.best.gap_relative
-
-    @property
-    def lambda_best(self) -> float:
-        return self.best.lam
+        return relative_gap(self.best.f, self.dual_obj)

@@ -113,22 +113,15 @@ def read_manifest(path: str) -> dict:
     return out
 
 
-def problem_from_manifest(path: str) -> tuple[LassoProblem | None, dict]:
-    """Build a LassoProblem when the manifest fixes tau; None for sigma mode.
+def problem_from_manifest(path: str) -> tuple[LassoProblem, dict]:
+    """The manifest's problem and its parsed dict.
 
-    Returns (problem_or_none, manifest_dict).
+    A sigma manifest fixes no radius, so its problem has tau = 0.
     """
     data = read_manifest(path)
-    if "tau" not in data:
-        return None, data
-    problem = LassoProblem(
-        op=DenseOperator(data["A"]),
-        b=data["b"],
-        tau=data["tau"],
-        w=data.get("w"),
-        mu=data["mu"],
-        c=data.get("c"),
-    )
+    problem = LassoProblem(op=DenseOperator(data["A"]), b=data["b"],
+                           tau=data.get("tau", 0.0), w=data.get("w"),
+                           mu=data["mu"], c=data.get("c"))
     return problem, data
 
 

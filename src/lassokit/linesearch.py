@@ -101,7 +101,8 @@ def nonmonotone_armijo_backtrack(
     lam is the segment minimizer when it lies in the safeguard window, else
     lam*BACKTRACK_FACTOR.  The search projects once and forms one forward
     product, A x1; a trial's residual is r + lam*A d with
-    A d = (A x1 - b) - r.  A zero-length accepted move reports `stationary`.
+    A d = (A x1 - b) - r, so an iterate accepted after the first trial has
+    an inexact residual.  A zero-length accepted move reports `stationary`.
     """
     x, r, g = iterate.x, iterate.r, iterate.g
     x1, _ = project(x - alpha0 * g, problem.ball_w, problem.tau)
@@ -121,6 +122,8 @@ def nonmonotone_armijo_backtrack(
         res = _accept(problem, iterate, x + lam * d, lam, fmax, k + 1,
                       r + lam * ray.ad)
         if res is not None:
+            if res.status == "accepted":
+                res.iterate.r_exact = False
             return res
     return SearchResult("failed", None, 0.0, MAX_BACKTRACKS)
 
@@ -138,8 +141,8 @@ def face_wolfe_search(
     entries whose sign flip falls exactly at the cap are set to zero, so it
     lands on the subface.  The accepted iterate's residual is r + a*A d,
     reusing the step length's product, so a step costs one forward
-    product; it drifts by rounding over a run of such steps, and the solver
-    recomputes it if it returns at one.
+    product; it drifts by rounding over a run of such steps, so the iterate
+    marks it inexact.
     """
     x = iterate.x
     gd = float(iterate.g @ d)
@@ -154,6 +157,7 @@ def face_wolfe_search(
         shrink = np.flatnonzero(x * d < 0)
         xa[shrink[x[shrink] / d[shrink] == -a]] = 0.0
     it = evaluate(problem, xa, r=iterate.r + a * ray.ad)
+    it.r_exact = False
     return SearchResult("accepted", it, a, 1)
 
 

@@ -152,7 +152,9 @@ _UNSET = object()
 class Iterate:
     """Point with its residual r = Ax - b and value f.
 
-    The gradient is formed on first read, so a rejected trial point never
+    `r_exact` is False when r came from a step's update r + a*A d rather
+    than from A x - b, so that r and f drift from x by rounding.  The
+    gradient is formed on first read, so a rejected trial point never
     pays for an adjoint product.  The face is classified on first read too:
     the projected-gradient method never reads one.
     """
@@ -161,6 +163,7 @@ class Iterate:
     r: NDArray
     f: float
     problem: LassoProblem
+    r_exact: bool = True
     _g: NDArray | None = field(default=None, init=False, repr=False, compare=False)
     _face: object = field(default=_UNSET, init=False, repr=False, compare=False)
 

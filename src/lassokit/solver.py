@@ -111,19 +111,18 @@ class WarmStart:
     """What a solve hands to the next solve of the same f at another radius.
 
     `alpha_bb` is its last Barzilai-Borwein step and `pairs` the ambient
-    (s, y, 1/s'y) of its last face phase.  `face` and `h0` are those of the
-    model open when it stopped; when none was, `face` is None and `h0` is
-    `alpha_bb`.  No solve reads `face`.  The arrays are read-only copies.
+    (s, y) of its last face phase with s'y > 0.  `h0` is that of the model
+    open when it stopped, or `alpha_bb` when none was.  The arrays are
+    read-only copies.
     """
 
     alpha_bb: float
-    face: FaceId | None = None
     h0: float = 1.0
-    pairs: tuple[tuple[NDArray, NDArray, float], ...] = ()
+    pairs: tuple[tuple[NDArray, NDArray], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(
-            (_read_only(s), _read_only(y), float(rho)) for s, y, rho in self.pairs))
+            (_read_only(s), _read_only(y)) for s, y in self.pairs))
 
 
 def _read_only(v: NDArray) -> NDArray:
@@ -164,15 +163,12 @@ class LbfgsModel:
 
     `update` and `direction` take and return ambient vectors and reduce and
     embed them here.  A basis of None is the identity: the interior region,
-    or plain coordinates.  `face` is the face the basis spans, when known.
+    or plain coordinates.
     """
 
-    def __init__(self, memory: int, h0: float, basis: FaceBasis | None = None,
-                 face: FaceId | None = None):
-        self.memory = memory
+    def __init__(self, memory: int, h0: float, basis: FaceBasis | None = None):
         self.h0 = h0
         self.basis = basis
-        self.face = face
         self.pairs: deque[tuple[NDArray, NDArray, float]] = deque(maxlen=memory)
 
     def update(self, s: NDArray, y: NDArray) -> bool:
@@ -262,7 +258,6 @@ def _solve(
     history: deque[float] = deque([it.f], maxlen=HISTORY_LEN)
     trace: list[TraceRecord] = []
     qn_steps = pg_steps = 0
-    r_updated = False  # it.r came from a step's update r + a*A d, not from A x - b
     status = STATUS_ITER_LIMIT
 
     def record(i: int, kind: str) -> None:
@@ -286,8 +281,8 @@ def _solve(
     model, memory = None, deque(maxlen=MEMORY)
     rejected = warm_pairs = 0  # pairs the curvature check turned away / kept
     if hybrid and warm is not None and warm.pairs and all(
-            len(s) == len(y) == n for s, y, _ in warm.pairs):
-        memory.extend((s, y) for s, y, _ in warm.pairs)
+            len(s) == len(y) == n for s, y in warm.pairs):
+        memory.extend(warm.pairs)
         model = _face_model(problem, it.face, warm.h0)
         if model is not None:
             warm_pairs = sum(model.update(s, y) for s, y in memory)
@@ -310,7 +305,6 @@ def _solve(
                 history.append(it.f)
                 qn_steps += 1
                 kind = "qn"
-                r_updated = True
             else:
                 model = None
                 phase_ends["no_descent"] += 1
@@ -326,13 +320,12 @@ def _solve(
             it = res.iterate
             history.append(it.f)
             pg_steps += 1
-            r_updated = res.trials > 1  # a backtracked trial's r is r + lam*A d
 
         s = it.x - prev.x
         y = it.g - prev.g
         alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
 
-        done = oracle.update(it, r_exact=not r_updated)
+        done = oracle.update(it)
         record(iteration, kind)
         if not hybrid or done:
             continue
@@ -376,8 +369,8 @@ def _solve(
         pg_steps=pg_steps, time_sec=time.perf_counter() - start,
         phase_ends=phase_ends, pairs_rejected=rejected, warm_pairs=warm_pairs,
         trace=trace, warm=WarmStart(
-            alpha_bb, model.face if model else None, model.h0 if model else alpha_bb,
-            tuple((s, y, 1.0 / sy) for s, y in memory if (sy := float(s @ y)) > 0)),
+            alpha_bb, model.h0 if model else alpha_bb,
+            tuple((s, y) for s, y in memory if float(s @ y) > 0)),
         forward_products=op.forward_products - fwd0,
         adjoint_products=op.adjoint_products - adj0,
     )
@@ -390,7 +383,7 @@ def _face_model(problem: LassoProblem, face: FaceId | None,
         return None
     basis = (None if face.kind == "interior"
              else basis_init(face, problem.w, problem.shape[1]))
-    return LbfgsModel(MEMORY, h0, basis, face)
+    return LbfgsModel(MEMORY, h0, basis)
 
 
 def _face_step(problem: LassoProblem, it: Iterate,

@@ -194,6 +194,18 @@ def test_bench_small_sweep(tmp_path, capsys):
     assert hybrid["mean_speedup_vs_spg"] != ""
 
 
+def test_bench_repeated_solver_or_tol_makes_one_row(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 24, "n": 40, "ks": [4], "instances": 1,
+                               "solvers": ["spg", "spg"], "tols": [1e-6, 1e-6]}))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["solver"], float(r["tol"])) for r in rows] == [("spg", 1e-6)]
+
+
 def test_bench_bad_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"solvers": ["bogus"]}))
@@ -246,6 +258,27 @@ def test_arc_audit(capsys):
     assert code == EXIT_OK
     assert out.count("PASS") == 2
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen", ["--seed", "-1"]),
+    ("bench", ["--seed", "-1"]),
+    ("arc-audit", ["--seed", "-1"]),
+    ("arc-audit", ["--n", "0"]),
+    ("arc-audit", ["--n", "-3"]),
+    ("arc-audit", ["--trials", "-1"]),
+])
+def test_bad_numbers_exit_bad_input(tmp_path, capsys, command, flags):
+    # These used to end in a traceback (exit 1, arc-audit's FAIL code), or,
+    # for a negative trial count, in a PASS.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 8, "n": 10, "ks": [2], "instances": 1}))
+    required = {"gen": ["--out", str(tmp_path / "x")],
+                "bench": ["--config", str(cfg)]}
+    assert main([command, *required.get(command, []), *flags]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_invalid_spec(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from conftest import grid_lambda, qp_oracle
 from lassokit.ball import project, prox_weighted_l1, weighted_l1_norm
 from lassokit.duality import (
-    BestPair,
     StoppingOracle,
     best_certificate,
     certificate_augmented,
@@ -13,7 +12,7 @@ from lassokit.duality import (
     optimal_dual_lambda,
     relative_gap,
 )
-from lassokit.model import DenseOperator, LassoProblem, evaluate
+from lassokit.model import DenseOperator, Iterate, LassoProblem, evaluate
 
 
 def _problem(rng, m=6, n=5, mu=0.0, tau=1.0, weighted=False):
@@ -40,7 +39,7 @@ def test_mu_zero_gap_at_origin():
     it = evaluate(p, np.zeros(5))
     cert = certificate_augmented(p, it)
     expect = p.tau * dual_weighted_inf_norm(p.op.a.T @ p.b, p.w)
-    assert cert.gap(it.f) == pytest.approx(expect, rel=1e-12)
+    assert it.f - cert.objective == pytest.approx(expect, rel=1e-12)
 
 
 def _explicit_certificates(p, x):
@@ -85,7 +84,7 @@ def test_gap_small_at_oracle_optimum():
         x_star, f_star = qp_oracle(p.op.a, p.b, p.tau, mu=mu)
         it = evaluate(p, x_star)
         cert = best_certificate(p, it)
-        assert cert.gap(it.f) <= 1e-7 * (1 + abs(f_star))
+        assert it.f - cert.objective <= 1e-7 * (1 + abs(f_star))
 
 
 def test_optimal_lambda_scalar():
@@ -210,23 +209,35 @@ def test_relative_gap_denominator():
     assert relative_gap(1.0, 2.0) == 0.0  # negative gaps clamp to zero
 
 
-def test_best_pair_monotone():
-    bp = BestPair()
-    bp.update_primal(5.0, np.zeros(1), np.full(2, 3.0))
-    bp.update_primal(7.0, np.ones(1), np.ones(2))  # worse primal ignored
-    assert bp.f == 5.0
-    assert np.array_equal(bp.x, np.zeros(1))
-    assert np.array_equal(bp.r, np.full(2, 3.0))
-    assert bp.r_exact
-    from lassokit.duality import DualCertificate
-
-    bp.update_dual(DualCertificate(1.0, 2.0))
-    bp.update_dual(DualCertificate(9.0, 1.0))  # worse dual ignored
-    assert bp.dual_obj == 2.0
-    assert bp.lam == 1.0
-    assert bp.gap_relative == pytest.approx(3.0 / 5.0)
-    bp.update_primal(4.0, np.ones(1), np.ones(2), r_exact=False)
-    assert (bp.f, bp.r_exact) == (4.0, False)
+def test_stopping_oracle_keeps_best_iterate_and_dual():
+    rng = np.random.default_rng(5)
+    p = _problem(rng, m=8, n=5, tau=0.6)
+    x_star, _ = qp_oracle(p.op.a, p.b, p.tau)
+    near, far = evaluate(p, x_star), _feasible(rng, p)
+    cert_near, cert_far = best_certificate(p, near), best_certificate(p, far)
+    assert far.f > near.f and cert_far.objective < cert_near.objective
+    oracle = StoppingOracle(p, 0.0)
+    oracle.update(far)
+    assert oracle.gap == (far.f - cert_far.objective) / far.f > 0
+    oracle.update(near)
+    oracle.update(far)  # worse primal and worse dual ignored
+    assert oracle.best is near and oracle.best.r_exact
+    assert (oracle.dual_obj, oracle.lambda_best) == (cert_near.objective, cert_near.lam)
+    assert oracle.gap == relative_gap(near.f, cert_near.objective)
+    # A lower f from an updated residual becomes the best point, and its
+    # exactness comes with it; far's dual bound is still ignored.
+    stepped = Iterate(x=far.x, r=far.r, f=near.f - 1.0, problem=p, r_exact=False)
+    oracle.update(stepped)
+    assert oracle.best is stepped and not oracle.best.r_exact
+    assert oracle.dual_obj == cert_near.objective
+    assert oracle.gap == relative_gap(near.f - 1.0, cert_near.objective)
+    # A NaN f never becomes the best point, first or later.
+    nan = Iterate(x=near.x, r=near.r, f=np.nan, problem=p)
+    oracle.update(nan)
+    assert oracle.best is stepped
+    fresh = StoppingOracle(p, 0.0)
+    fresh.update(nan)
+    assert fresh.best is not nan and fresh.best.x is None
 
 
 def test_stopping_oracle_fires_at_optimum():

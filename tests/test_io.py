@@ -49,10 +49,12 @@ def test_manifest_roundtrip_tau(tmp_path):
 
 
 def test_manifest_sigma_mode(tmp_path):
-    _write_bundle(tmp_path, {"sigma": 0.5})
+    a, b = _write_bundle(tmp_path, {"sigma": 0.5})
     problem, data = lio.problem_from_manifest(str(tmp_path / "manifest.txt"))
-    assert problem is None
-    assert data["sigma"] == 0.5
+    assert np.array_equal(problem.op.a, a)
+    assert np.array_equal(problem.b, b)
+    assert problem.tau == 0.0  # a sigma manifest fixes no radius
+    assert data["sigma"] == 0.5 and "tau" not in data
 
 
 def test_manifest_optional_vectors(tmp_path):

@@ -288,6 +288,25 @@ def test_face_wolfe_search_reuses_ray_product():
     assert np.linalg.norm(res.iterate.r - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
+def test_each_search_marks_whether_its_residual_is_exact():
+    # r = A x - b is exact; r + lam*A d from a backtracked trial or a face
+    # step drifts by rounding, and the iterate each search returns says so.
+    clamp = _clamp_problem()
+    start = evaluate(clamp, np.zeros(1))
+    first = nonmonotone_armijo_backtrack(clamp, start, 1.0, start.f)
+    assert first.status == "accepted" and first.trials == 1
+    assert first.iterate.r_exact
+    _, p, it, _ = _segment_setup()
+    backtracked = nonmonotone_armijo_backtrack(p, it, 1.0, it.f)
+    assert backtracked.status == "accepted" and backtracked.trials == 2
+    assert not backtracked.iterate.r_exact and it.r_exact
+    face = face_wolfe_search(p, it, -it.g, np.inf)
+    assert face.status == "accepted" and not face.iterate.r_exact
+    tp, tit, arc = _traj_setup(np.random.default_rng(3), tau=1e6)
+    traj = trajectory_search(tp, tit, arc, tit.f)
+    assert traj.status == "accepted" and traj.iterate.r_exact
+
+
 def _traj_setup(rng, tau):
     p = LassoProblem(op=DenseOperator(rng.normal(size=(8, 5))),
                      b=rng.normal(size=8), tau=tau)
