@@ -3,7 +3,8 @@
 Machine-first output: a single JSON run record on stdout for solve/root,
 CSV for bench, and plain PASS/FAIL lines for arc-audit.  Exit codes:
 0 success/optimal, 2 iteration or subproblem budget exhausted,
-3 line-search failure, 4 residual target sigma unreachable,
+3 line-search failure, or an objective that overflows at the start
+(status non_finite), 4 residual target sigma unreachable,
 64 malformed manifest or config, or a bad number: a negative seed, or an
 arc-audit n below 1 or trial count below 0.  arc-audit exits 1 on a FAIL.
 """
@@ -34,6 +35,7 @@ from .rootfind import STATUS_BUDGET, STATUS_CONVERGED, STATUS_UNREACHABLE, solve
 from .solver import (
     STATUS_ITER_LIMIT,
     STATUS_LINESEARCH_FAILURE,
+    STATUS_NON_FINITE,
     STATUS_OPTIMAL,
     hybrid_solve,
     spg_solve,
@@ -51,6 +53,7 @@ _STATUS_EXIT = {
     STATUS_ITER_LIMIT: EXIT_BUDGET,
     STATUS_BUDGET: EXIT_BUDGET,
     STATUS_LINESEARCH_FAILURE: EXIT_LINESEARCH,
+    STATUS_NON_FINITE: EXIT_LINESEARCH,
     STATUS_UNREACHABLE: EXIT_UNREACHABLE,
 }
 
@@ -108,6 +111,7 @@ def cmd_solve(args) -> int:
         "pairs_rejected": report.pairs_rejected,
         "forward_products": report.forward_products,
         "adjoint_products": report.adjoint_products,
+        "column_reads": report.column_reads,
         "tau": problem.tau,
         "time_sec": report.time_sec,
     })
@@ -137,6 +141,7 @@ def cmd_root(args) -> int:
         "subproblems": report.subproblems,
         "forward_products": report.forward_products,
         "adjoint_products": report.adjoint_products,
+        "column_reads": report.column_reads,
         "time_sec": report.time_sec,
         "path": [dataclasses.asdict(state) for state in report.path],
     })

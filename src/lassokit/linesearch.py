@@ -133,6 +133,8 @@ def face_wolfe_search(
     iterate: Iterate,
     d: NDArray,
     alpha_bound: float,
+    ad: NDArray | None = None,
+    gd: float | None = None,
 ) -> SearchResult:
     """Exact step along a face direction, capped at the face edge.
 
@@ -142,13 +144,15 @@ def face_wolfe_search(
     lands on the subface.  The accepted iterate's residual is r + a*A d,
     reusing the step length's product, so a step costs one forward
     product; it drifts by rounding over a run of such steps, so the iterate
-    marks it inexact.
+    marks it inexact.  A caller that knows A d and the slope g'd gives
+    them, and the search forms no product and reads no gradient.
     """
     x = iterate.x
-    gd = float(iterate.g @ d)
+    if gd is None:
+        gd = float(iterate.g @ d)
     if not gd < 0:  # also a NaN direction
         return SearchResult("failed")
-    ray = RayObjective(problem, x, d, r=iterate.r)
+    ray = RayObjective(problem, x, d, r=iterate.r, ad=ad)
     a = min(ray.minimizer(gd), alpha_bound)  # inf on a flat uncapped ray
     if a <= 0 or not math.isfinite(a):
         return SearchResult("failed")

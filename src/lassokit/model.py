@@ -23,7 +23,8 @@ class LinearOperator:
     """Matrix-free linear operator with forward, adjoint, and column access.
 
     `forward_products` and `adjoint_products` count the products it has
-    formed; a column read without a column callable is a forward product.
+    formed, and `column_reads` the columns its column callable served; a
+    column read without a column callable is a forward product.
     """
 
     def __init__(
@@ -39,6 +40,12 @@ class LinearOperator:
         self._column = column
         self.forward_products = 0
         self.adjoint_products = 0
+        self.column_reads = 0
+
+    @property
+    def reads_columns(self) -> bool:
+        """Whether a column callable serves `column`, at no forward product."""
+        return self._column is not None
 
     def apply(self, x: NDArray) -> NDArray:
         if len(x) != self.shape[1]:
@@ -58,6 +65,7 @@ class LinearOperator:
 
     def column(self, i: int) -> NDArray:
         if self._column is not None:
+            self.column_reads += 1
             return self._column(i)
         e = np.zeros(self.shape[1])
         e[i] = 1.0

@@ -32,7 +32,14 @@ from numpy.typing import NDArray
 from .ball import project
 from .duality import dual_weighted_inf_norm, gap_scale
 from .model import LassoProblem, SolverOptions
-from .solver import STATUS_OPTIMAL, SolverReport, WarmStart, hybrid_solve, spg_solve
+from .solver import (
+    STATUS_NON_FINITE,
+    STATUS_OPTIMAL,
+    SolverReport,
+    WarmStart,
+    hybrid_solve,
+    spg_solve,
+)
 
 ROOT_TOL = 1e-5
 KAPPA = 0.1  # subproblem gap tolerance per unit of relative misfit error
@@ -66,6 +73,7 @@ class RootReport:
     time_sec: float
     forward_products: int  # products A x the run formed
     adjoint_products: int  # products A'y the run formed
+    column_reads: int  # columns of A the run read through op.column
     path: list[ParetoState] = field(default_factory=list)
 
 
@@ -150,7 +158,8 @@ def solve_bpdn(
     multiplier 0 with a misfit above sigma from a loose solve, is re-solved
     at the same radius to opt_tol.  Multiplier 0 with a gap of at most
     opt_tol proves sigma unreachable and ends the run with
-    STATUS_UNREACHABLE.
+    STATUS_UNREACHABLE.  A subproblem whose f overflows at its start ends
+    the run with its status, STATUS_NON_FINITE.
     """
     start = time.perf_counter()
     if not sigma >= 0:
@@ -165,7 +174,7 @@ def solve_bpdn(
     options = options or SolverOptions()
     solve = hybrid_solve if solver == "hybrid" else spg_solve
     op = problem.op
-    fwd0, adj0 = op.forward_products, op.adjoint_products
+    fwd0, adj0, col0 = op.forward_products, op.adjoint_products, op.column_reads
     b = problem.b
     norm_b = float(np.linalg.norm(b))
     tol = root_tol * max(sigma, 1e-3)
@@ -177,7 +186,8 @@ def solve_bpdn(
         return RootReport(x=x, tau=0.0, misfit=norm_b, sigma=sigma,
                           status=STATUS_CONVERGED, subproblems=0,
                           time_sec=time.perf_counter() - start,
-                          forward_products=0, adjoint_products=0, path=path)
+                          forward_products=0, adjoint_products=0,
+                          column_reads=0, path=path)
 
     # The radius-zero subproblem is trivial: x = 0, multiplier from b.
     lam = dual_weighted_inf_norm(problem.op.apply_adjoint(b) - problem.c,
@@ -213,6 +223,9 @@ def solve_bpdn(
         path.append(ParetoState(tau, misfit, lam, report.status,
                                 report.iterations, sub_tol, report.gap,
                                 report.warm_pairs))
+        if report.status == STATUS_NON_FINITE:
+            status = STATUS_NON_FINITE
+            break
         low, high = misfit_interval(
             misfit, report.gap * gap_scale(report.f), f_is_misfit)
         # A solve asked for opt_tol, or one that met it anyway, is as exact
@@ -237,4 +250,5 @@ def solve_bpdn(
                       subproblems=len(path) - 1,
                       time_sec=time.perf_counter() - start,
                       forward_products=op.forward_products - fwd0,
-                      adjoint_products=op.adjoint_products - adj0, path=path)
+                      adjoint_products=op.adjoint_products - adj0,
+                      column_reads=op.column_reads - col0, path=path)

@@ -26,17 +26,39 @@ the next iteration is a PG step, when
 - `stall`: the step lowers f by at most STALL_RATIO times the phase's
   largest decrease, and does not shrink the gap to STALL_GAP_SHRINK of its
   value;
+- `off_face`: the gap read on the face's support reaches the tolerance,
+  but the full gradient has an entry off the support that beats the face
+  (working-set phases only, below);
 - `solve_end`: the solve stops during the phase.
 
 The gap guard keeps a phase going near the optimum, where f changes only by
 rounding but each step still cuts the gap.
 
+A phase on a proper face whose support S holds at most n/2 entries runs on
+a working set, as Celer does for the Lasso (Massias, Gramfort & Salmon,
+ICML 2018), when the operator has a column callable (one without would pay
+a forward product per column).  The phase reads the columns A_S once, when
+it opens; a capped continuation onto a subface slices them and reads none.
+A face step forms A d as A_S d_S and its gradient on S as A_S'r + c_S +
+mu*x_S, so it pays no operator product.  The stall guard then reads the
+gap of the certificate formed from the gradient's entries on S, zero
+elsewhere, which is never above the full gap.  Once that gap reaches
+opt_tol the step forms its full gradient, one adjoint product, and the
+oracle decides on the full certificate: the solve stops, or the phase ends
+`off_face` and the next PG step reads that gradient.  The best iterate is
+taken on every step, so the solve stops only on a full certificate, and
+x, f and gap come from one point.  The interior model, PG steps and spg
+keep their full products.
+
 The phase keeps the ambient pairs (s, y) of its last MEMORY steps, from the
-PG step that opened it on.  A solve can start from a `WarmStart` that an
-earlier solve of the same f at another radius returned (`SolverReport.warm`):
-its last Barzilai-Borwein step becomes the first step, and when the start's
-face is usable, whichever it is, the hybrid's first iteration is a face step
-from a model on it seeded with the last phase's pairs reduced onto it, as
+PG step that opened it on.  A working-set step knows y only on S; it keeps
+A s, the change in the residual, and y = A'(A s) + mu*s is formed, one
+adjoint product per pair, when the pairs are first read.  A solve can start
+from a `WarmStart` that an earlier solve of the same f at another radius
+returned (`SolverReport.warm`): its last Barzilai-Borwein step becomes the
+first step, and when the start's face is usable, whichever it is, the
+hybrid's first iteration is a face step from a model on it seeded with the
+last phase's pairs reduced onto it, as
 L-BFGS-B reduces its pairs onto the free variables (Byrd, Lu, Nocedal & Zhu,
 SIAM J. Sci. Comput. 16(5), 1995).  f is quadratic and its Hessian
 A'A + mu*I does not depend on tau, so y = (A'A + mu*I)s holds at every radius
@@ -53,6 +75,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +105,7 @@ from .model import Iterate, LassoProblem, SolverOptions, evaluate, objective_val
 STATUS_OPTIMAL = "optimal"
 STATUS_ITER_LIMIT = "iter_limit"
 STATUS_LINESEARCH_FAILURE = "linesearch_failure"
+STATUS_NON_FINITE = "non_finite"  # f overflows at the projected start
 
 HISTORY_LEN = 10  # nonmonotone window M
 MEMORY = 8  # quasi-Newton pair budget N
@@ -93,11 +117,15 @@ CURVATURE_EPS = 1e-12  # pairs need s'y > CURVATURE_EPS*||s||*||y||
 # its value.
 STALL_RATIO = 1e-3
 STALL_GAP_SHRINK = 0.9
-PHASE_ENDS = ("edge", "stall", "no_descent", "solve_end")
+PHASE_ENDS = ("edge", "stall", "no_descent", "off_face", "solve_end")
 
 
 @dataclass
 class TraceRecord:
+    """One iteration's point.  `gap` is the one its stall and stop tests
+    read: on a working-set face step, the gap of the support's entries,
+    unless that reached opt_tol and the full gap was formed."""
+
     iteration: int
     f: float
     gap: float
@@ -113,22 +141,57 @@ class WarmStart:
     `alpha_bb` is its last Barzilai-Borwein step and `pairs` the ambient
     (s, y) of its last face phase with s'y > 0.  `h0` is that of the model
     open when it stopped, or `alpha_bb` when none was.  The arrays are
-    read-only copies.
+    read-only copies.  A solve hands over `_DeferredPairs` when some y is
+    still to be formed.
     """
 
     alpha_bb: float
     h0: float = 1.0
-    pairs: tuple[tuple[NDArray, NDArray], ...] = ()
+    pairs: Sequence[tuple[NDArray, NDArray]] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(
-            (_read_only(s), _read_only(y)) for s, y in self.pairs))
+        if not isinstance(self.pairs, _DeferredPairs):
+            object.__setattr__(self, "pairs", tuple(
+                (_read_only(s), _read_only(y)) for s, y in self.pairs))
 
 
 def _read_only(v: NDArray) -> NDArray:
     v = np.array(v, dtype=float)
     v.setflags(write=False)
     return v
+
+
+class _DeferredPairs(Sequence):
+    """A phase's ambient pairs with s'y > 0, as read-only copies, formed on
+    first read.
+
+    Each entry is (s, y, None), or (s, None, A s) from a working-set step:
+    then y = A'(A s) + mu*s costs one adjoint product, counted by the
+    operator when the pairs are first read.
+    """
+
+    def __init__(self, entries, problem: LassoProblem):
+        self._entries, self._problem = tuple(entries), problem
+        self._pairs = None
+
+    def _formed(self) -> tuple[tuple[NDArray, NDArray], ...]:
+        if self._pairs is None:
+            p, pairs = self._problem, []
+            for s, y, a_s in self._entries:
+                if y is None:
+                    y = p.op.apply_adjoint(a_s)
+                    if p.mu > 0:
+                        y = y + p.mu * s
+                if float(s @ y) > 0:
+                    pairs.append((_read_only(s), _read_only(y)))
+            self._pairs, self._entries, self._problem = tuple(pairs), (), None
+        return self._pairs
+
+    def __len__(self) -> int:
+        return len(self._formed())
+
+    def __getitem__(self, i):
+        return self._formed()[i]
 
 
 @dataclass
@@ -151,6 +214,7 @@ class SolverReport:
     warm: WarmStart  # the start it hands to a solve at another radius
     forward_products: int  # products A x the solve formed
     adjoint_products: int  # products A'y the solve formed
+    column_reads: int  # columns of A the solve read through op.column
     trace: list[TraceRecord] = field(default_factory=list)
 
     @property
@@ -246,7 +310,7 @@ def _solve(
 ) -> SolverReport:
     start = time.perf_counter()
     op = problem.op
-    fwd0, adj0 = op.forward_products, op.adjoint_products
+    fwd0, adj0, col0 = op.forward_products, op.adjoint_products, op.column_reads
     options = options or SolverOptions()
     m, n = problem.shape
     max_iter = options.max_iter if options.max_iter is not None else 10 * m
@@ -260,45 +324,49 @@ def _solve(
     qn_steps = pg_steps = 0
     status = STATUS_ITER_LIMIT
 
-    def record(i: int, kind: str) -> None:
+    def record(i: int, kind: str, gap: float) -> None:
         if options.trace:
             face = it.face
             trace.append(TraceRecord(
-                iteration=i, f=it.f, gap=oracle.gap, step_kind=kind,
+                iteration=i, f=it.f, gap=gap, step_kind=kind,
                 face_dim=None if face is None or face.kind == "interior"
                 else face.dim,
                 support=None if face is None or face.kind == "interior"
                 else face.support,
             ))
 
-    done = oracle.update(it)
-    record(0, "init")
+    # The face phase's model and working set, None between phases, and the
+    # (s, y, A s) of the last phase's last steps.
+    model = ws = None
+    memory = deque(maxlen=MEMORY)
+    rejected = warm_pairs = 0  # pairs the curvature check turned away / kept
+    largest = 0.0  # the largest decrease of a step in this face phase
+    phase_ends = dict.fromkeys(PHASE_ENDS, 0)
+    finite = math.isfinite(it.f)  # else no step can be tested against f
+    done = finite and oracle.update(it)
+    gap = oracle.gap  # the gap the last stall or stop test read
+    record(0, "init", gap)
     # A carried step outside the clamps falls back to the cold one.
     alpha_bb = (warm.alpha_bb if warm is not None
                 and ALPHA_MIN <= warm.alpha_bb <= ALPHA_MAX else _initial_bb(it.g))
-    # The face phase's model, None between phases, and the ambient (s, y)
-    # of the last phase's last steps.
-    model, memory = None, deque(maxlen=MEMORY)
-    rejected = warm_pairs = 0  # pairs the curvature check turned away / kept
-    if hybrid and warm is not None and warm.pairs and all(
+    if hybrid and finite and warm is not None and warm.pairs and all(
             len(s) == len(y) == n for s, y in warm.pairs):
-        memory.extend(warm.pairs)
+        memory.extend((s, y, None) for s, y in warm.pairs)
         model = _face_model(problem, it.face, warm.h0)
         if model is not None:
-            warm_pairs = sum(model.update(s, y) for s, y in memory)
+            warm_pairs = sum(model.update(s, y) for s, y, _ in memory)
             rejected = len(memory) - warm_pairs
-    largest = 0.0  # the largest decrease of a step in this face phase
-    phase_ends = dict.fromkeys(PHASE_ENDS, 0)
+            ws = _working_set(problem, it, model, None)
 
     iteration = 0
-    while not done and iteration < max_iter:
+    while finite and not done and iteration < max_iter:
         iteration += 1
         prev = it
         kind = "pg"
 
         if model is not None:
-            gap_before = oracle.gap
-            res, bound = _face_step(problem, it, model)
+            gap_before = gap
+            res, bound = _face_step(problem, it, model, ws)
             if res.status == "accepted":
                 it = res.iterate
                 history.clear()
@@ -306,43 +374,63 @@ def _solve(
                 qn_steps += 1
                 kind = "qn"
             else:
-                model = None
+                model = ws = None
                 phase_ends["no_descent"] += 1
 
         if kind == "pg":
             res = _pg_search(problem, it, alpha_bb, max(history), options)
             if res.status != "accepted":
                 # Failed, or stationary: no move from an iterate the oracle
-                # has already rejected, so either way the run is stuck.
+                # rejects, so either way the run is stuck.  A working-set
+                # phase may have left the iterate's full certificate unread;
+                # the search has formed its gradient, so reading it costs no
+                # product, and it may yet certify the iterate.
+                done = oracle.update(it)
                 status = STATUS_LINESEARCH_FAILURE
-                record(iteration, "pg")
+                record(iteration, "pg", oracle.gap)
                 break
             it = res.iterate
             history.append(it.f)
             pg_steps += 1
 
         s = it.x - prev.x
-        y = it.g - prev.g
+        if ws is None:
+            y = it.g - prev.g
+            memory_entry = (s, y, None)
+            done = oracle.update(it)
+            gap = oracle.gap
+        else:
+            # y is known on S only; keep A s, the residual's change, instead.
+            g = ws.gradient(it)
+            y, ws.g = g - ws.g, g
+            memory_entry = (s, None, it.r - prev.r)
+            gap = oracle.face_gap(it, g)
+            if gap <= options.opt_tol:
+                done = oracle.update(it)
+                gap = oracle.gap
+                if not done:
+                    model = ws = None
+                    phase_ends["off_face"] += 1
         alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
-
-        done = oracle.update(it)
-        record(iteration, kind)
+        record(iteration, kind, gap)
         if not hybrid or done:
             continue
         if kind == "pg":
             if prev.face == it.face:
                 model = _face_model(problem, it.face, alpha_bb)
                 if model is not None:
-                    memory = deque([(s, y)], maxlen=MEMORY)
+                    memory = deque([memory_entry], maxlen=MEMORY)
                     rejected += not model.update(s, y)
                     largest = 0.0
+                    ws = _working_set(problem, it, model, None)
             continue
-        memory.append((s, y))
+        memory.append(memory_entry)
+        if model is None:  # ended off the face
+            continue
         drop = prev.f - it.f
         largest = max(largest, drop)
-        if (drop <= STALL_RATIO * largest
-                and oracle.gap > STALL_GAP_SHRINK * gap_before):
-            model = None
+        if drop <= STALL_RATIO * largest and gap > STALL_GAP_SHRINK * gap_before:
+            model = ws = None
             phase_ends["stall" if drop > 0 else "no_descent"] += 1
         elif res.alpha == bound or (model.basis is None
                                     and it.face.kind != "interior"):
@@ -351,28 +439,37 @@ def _solve(
             # longer the sphere crossing.
             model = _face_model(problem, it.face, model.h0)
             if model is None:
+                ws = None
                 phase_ends["edge"] += 1
+            else:
+                ws = _working_set(problem, it, model, ws)
         else:
             rejected += not model.update(s, y)
 
     if done:
         status = STATUS_OPTIMAL
+    elif not finite:
+        status = STATUS_NON_FINITE
     if model is not None:
         phase_ends["solve_end"] += 1
-    # Report the best point, whose f the gap reads.  An updated residual
-    # drifts by rounding, so then report the exact f and r at its x.
-    best = oracle.best
+    # Report the best point, whose f the gap reads, or the start when no f
+    # was finite.  An updated residual drifts by rounding, so then report
+    # the exact f and r at its x.
+    best = oracle.best if finite else it
     f, r = (best.f, best.r) if best.r_exact else objective_value(problem, best.x)
+    pairs = _DeferredPairs(memory, problem)
+    if all(y is not None for _, y, _ in memory):
+        pairs = pairs[:]
     return SolverReport(
         x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start,
         phase_ends=phase_ends, pairs_rejected=rejected, warm_pairs=warm_pairs,
-        trace=trace, warm=WarmStart(
-            alpha_bb, model.h0 if model else alpha_bb,
-            tuple((s, y) for s, y in memory if float(s @ y) > 0)),
+        trace=trace, warm=WarmStart(alpha_bb, model.h0 if model else alpha_bb,
+                                    pairs),
         forward_products=op.forward_products - fwd0,
         adjoint_products=op.adjoint_products - adj0,
+        column_reads=op.column_reads - col0,
     )
 
 
@@ -386,16 +483,73 @@ def _face_model(problem: LassoProblem, face: FaceId | None,
     return LbfgsModel(MEMORY, h0, basis)
 
 
-def _face_step(problem: LassoProblem, it: Iterate,
-               model: LbfgsModel) -> tuple[SearchResult, float]:
+class _WorkingSet:
+    """A proper face's support S with its columns A_S, and `g`: the gradient
+    of the phase's current iterate on S, zero elsewhere."""
+
+    def __init__(self, problem: LassoProblem, support: NDArray, g: NDArray):
+        op = problem.op
+        self.problem, self.support = problem, support
+        self.cols = np.empty((problem.shape[0], len(support)), order="F")
+        for j, i in enumerate(support.tolist()):
+            self.cols[:, j] = op.column(i)
+        self.g = np.zeros(problem.shape[1])
+        self.g[support] = g[support]
+
+    def restrict(self, support: NDArray) -> None:
+        """Move to a subface's support, reading no column."""
+        g = np.zeros(len(self.g))
+        g[support] = self.g[support]
+        keep = np.searchsorted(self.support, support)
+        self.support, self.cols, self.g = support, self.cols[:, keep], g
+
+    def gradient(self, it: Iterate) -> NDArray:
+        """A_S'r + c_S + mu*x_S at it, zero off S."""
+        p, sup = self.problem, self.support
+        gs = self.cols.T @ it.r
+        if not p.zero_c:
+            gs = gs + p.c[sup]
+        if p.mu > 0:
+            gs = gs + p.mu * it.x[sup]
+        g = np.zeros(p.shape[1])
+        g[sup] = gs
+        return g
+
+
+def _working_set(problem: LassoProblem, it: Iterate, model: LbfgsModel,
+                 ws: _WorkingSet | None) -> _WorkingSet | None:
+    """The working set for a new model at it.
+
+    None unless the model is on a proper face of at most n/2 support
+    entries and the operator reads columns.  A model on a subface of ws's
+    face restricts ws; any other gathers A_S.
+    """
+    basis = model.basis
+    if (basis is None or not problem.op.reads_columns
+            or 2 * len(basis.support) > problem.shape[1]):
+        return None
+    if ws is None:
+        return _WorkingSet(problem, basis.support, it.g)
+    ws.restrict(basis.support)
+    return ws
+
+
+def _face_step(problem: LassoProblem, it: Iterate, model: LbfgsModel,
+               ws: _WorkingSet | None) -> tuple[SearchResult, float]:
     """The model's step from it, capped at the face edge, and that cap.
 
     A direction built from the face basis keeps the weighted norm, so its
-    edge is the first sign flip; an interior one runs to the sphere.
+    edge is the first sign flip; an interior one runs to the sphere.  On a
+    working set the step reads the gradient on S and forms A d as A_S d_S.
     """
-    d = model.direction(it.g)
-    if model.basis is None:
-        bound = max_step_on_face(it.x, d, problem.w, problem.tau)
-    else:
-        bound = first_sign_flip(it.x, d)
-    return face_wolfe_search(problem, it, d, bound), bound
+    if ws is None:
+        d = model.direction(it.g)
+        if model.basis is None:
+            bound = max_step_on_face(it.x, d, problem.w, problem.tau)
+        else:
+            bound = first_sign_flip(it.x, d)
+        return face_wolfe_search(problem, it, d, bound), bound
+    d = model.direction(ws.g)
+    bound = first_sign_flip(it.x, d)
+    return face_wolfe_search(problem, it, d, bound, ws.cols @ d[ws.support],
+                             float(ws.g @ d)), bound

@@ -7,6 +7,7 @@ import pytest
 from lassokit import io as lio
 from lassokit.cli import (
     EXIT_BAD_INPUT,
+    EXIT_LINESEARCH,
     EXIT_OK,
     EXIT_UNREACHABLE,
     main,
@@ -40,10 +41,11 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
     assert record["iterations"] >= 1
     # The face phases, by the reason each ended; added keys keep schema 1.
     assert set(record["phase_ends"]) == {"edge", "stall", "no_descent",
-                                         "solve_end"}
+                                         "off_face", "solve_end"}
     assert record["face_phases"] == sum(record["phase_ends"].values())
     assert type(record["pairs_rejected"]) is int
     assert record["forward_products"] > 0 and record["adjoint_products"] > 0
+    assert type(record["column_reads"]) is int
     x = lio.read_vector(str(xfile))
     assert len(x) == 40
     with open(trace, newline="") as fh:
@@ -95,6 +97,7 @@ def test_root_converges(tmp_path, capsys):
     assert path[-1]["misfit"] == record["misfit"]
     assert all(entry["warm_pairs"] >= 0 for entry in path)
     assert record["forward_products"] > 0 and record["adjoint_products"] > 0
+    assert type(record["column_reads"]) is int
 
 
 def test_root_unreachable_sigma_exits_4(tmp_path, capsys):
@@ -296,3 +299,17 @@ def test_gen_invalid_spec(tmp_path):
 def test_solve_missing_manifest(tmp_path):
     assert main(["solve", "--manifest", str(tmp_path / "nope.txt")]) \
         == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("command, scalar", [("solve", "tau"), ("root", "sigma")])
+def test_objective_that_overflows_exits_3(tmp_path, capsys, command, scalar):
+    lio.write_matrix_market_array(str(tmp_path / "A.mtx"), np.eye(2))
+    lio.write_vector(str(tmp_path / "b.txt"), np.array([1e200, 1.0]))
+    manifest = tmp_path / "manifest.txt"
+    lio.write_manifest(str(manifest), {"A": "A.mtx", "b": "b.txt"},
+                       {scalar: 1.0})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main([command, "--manifest", str(manifest)])
+    record = json.loads(capsys.readouterr().out.strip())
+    assert code == EXIT_LINESEARCH == 3
+    assert record["status"] == "non_finite"

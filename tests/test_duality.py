@@ -267,3 +267,32 @@ def test_augmented_certificate_equals_the_negated_formula():
             cert = certificate_augmented(p, it)
             assert cert.lam == lam
             assert cert.objective == obj
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_face_gap_is_never_above_the_full_gap(mu, weighted):
+    # The certificate of the gradient's entries on a support S, zero
+    # elsewhere, drops the entries off S from the multiplier, so its gap is
+    # at most the full one.  The oracle takes the iterate as its best point
+    # but keeps no dual bound from that certificate; given the whole
+    # gradient, the gap is the full one.
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        p = _problem(rng, m=8, n=10, mu=mu, weighted=weighted)
+        p.c = rng.normal(size=10)
+        support = np.sort(rng.choice(10, 4, replace=False))
+        x = np.zeros(10)
+        x[support] = rng.normal(size=4)
+        x *= p.tau / weighted_l1_norm(x, p.w)
+        it = evaluate(p, x)
+        g_face = np.zeros(10)
+        g_face[support] = it.g[support]
+        oracle = StoppingOracle(p, 0.0)
+        gap_face = oracle.face_gap(it, g_face)
+        assert oracle.best is it and oracle.dual_obj == -np.inf
+        oracle.update(it)
+        assert gap_face <= oracle.gap
+        everywhere = StoppingOracle(p, 0.0)
+        assert everywhere.face_gap(it, it.g) == pytest.approx(
+            relative_gap(it.f, best_certificate(p, it).objective), rel=1e-12)

@@ -15,7 +15,12 @@ from lassokit.rootfind import (
     scaled_start,
     solve_bpdn,
 )
-from lassokit.solver import STATUS_OPTIMAL, hybrid_solve, spg_solve
+from lassokit.solver import (
+    STATUS_NON_FINITE,
+    STATUS_OPTIMAL,
+    hybrid_solve,
+    spg_solve,
+)
 
 
 def test_newton_update_fixed_point():
@@ -257,8 +262,10 @@ def test_scale_predictor_lands_on_the_new_sphere():
 
 @pytest.mark.parametrize("solver", ["spg", "hybrid"])
 def test_root_report_counts_every_product(solver):
+    # With columns the hybrid's face phases run on working sets, and a
+    # subproblem that reads carried pairs forms their y with adjoints.
     inst = gen_instance(GeneratorSpec(m=32, n=64, k=5), 3)
-    counts = {"fwd": 0, "adj": 0}
+    counts = {"fwd": 0, "adj": 0, "col": 0}
 
     def forward(x):
         counts["fwd"] += 1
@@ -268,9 +275,33 @@ def test_root_report_counts_every_product(solver):
         counts["adj"] += 1
         return inst.a.T @ y
 
-    op = LinearOperator(inst.a.shape, forward, adjoint)
-    report = solve_bpdn(LassoProblem(op=op, b=inst.b, tau=0.0), inst.sigma,
-                        solver=solver)
-    assert report.subproblems >= 2
-    assert report.forward_products == counts["fwd"] > 0
-    assert report.adjoint_products == counts["adj"] > 0
+    def column(i):
+        counts["col"] += 1
+        return inst.a[:, i]
+
+    for columns in (False, True):
+        counts.update(fwd=0, adj=0, col=0)
+        op = LinearOperator(inst.a.shape, forward, adjoint,
+                            column if columns else None)
+        report = solve_bpdn(LassoProblem(op=op, b=inst.b, tau=0.0), inst.sigma,
+                            solver=solver)
+        assert report.subproblems >= 2
+        assert report.forward_products == counts["fwd"] > 0
+        assert report.adjoint_products == counts["adj"] > 0
+        assert type(report.column_reads) is int
+        assert report.column_reads == counts["col"]
+        assert (report.column_reads > 0) == (columns and solver == "hybrid")
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+def test_objective_that_overflows_ends_the_run(solver):
+    # Every point's f overflows: the first subproblem reports its start
+    # with STATUS_NON_FINITE, and the run ends with that status.
+    p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.array([1e200, 1.0]),
+                     tau=1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report = solve_bpdn(p, sigma=1.0, solver=solver)
+    assert report.status == STATUS_NON_FINITE
+    assert report.subproblems == 1
+    assert report.path[-1].subproblem_status == STATUS_NON_FINITE
+    assert np.array_equal(report.x, np.zeros(2))

@@ -30,6 +30,7 @@ from lassokit.solver import (
     MEMORY,
     STATUS_ITER_LIMIT,
     STATUS_LINESEARCH_FAILURE,
+    STATUS_NON_FINITE,
     STATUS_OPTIMAL,
     LbfgsModel,
     WarmStart,
@@ -344,8 +345,8 @@ def test_capped_step_continues_on_the_subface(monkeypatch):
     # direction lies in the subface's difference hull.
     calls = []  # (iterate, direction, cap, result) per face search
 
-    def spy(problem, it, d, bound):
-        res = search(problem, it, d, bound)
+    def spy(problem, it, d, bound, *given):  # a working set gives A d, g'd
+        res = search(problem, it, d, bound, *given)
         calls.append((it, d, bound, res))
         return res
 
@@ -414,7 +415,7 @@ def test_f_stall_near_the_optimum_keeps_the_phase_while_the_gap_falls():
             if drop <= solver_module.STALL_RATIO * largest]
     assert kept and all(kept)
     assert report.phase_ends == {"edge": 0, "stall": 0, "no_descent": 0,
-                                 "solve_end": 1}
+                                 "off_face": 0, "solve_end": 1}
 
 
 @pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
@@ -609,6 +610,7 @@ def test_warm_pairs_are_exact_ambient_pairs_across_subfaces():
     p = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
                                    gamma=0.1, k=10), 1).problem(mu=1e-3)
     report = hybrid_solve(p, options=SolverOptions(opt_tol=1e-3))
+    assert report.column_reads > 0  # steps that keep A s, not y
     warm, face = report.warm, face_of(report.x, p.w, p.tau)
     assert face.kind == "proper" and len(warm.pairs) == MEMORY
     a = p.op.a
@@ -751,8 +753,13 @@ def test_lbfgs_newton_after_exact_line_searches():
     assert np.allclose(x, x_star, atol=1e-8)
 
 
-class _UncountedOperator(DenseOperator):
-    """The dense products without the operator's own counters."""
+class _UncountedOperator(LinearOperator):
+    """Dense products, and columns when asked, without the operator's own
+    counters."""
+
+    def __init__(self, a, columns):
+        super().__init__(a.shape, lambda x: a @ x, lambda y: a.T @ y,
+                         (lambda i: a[:, i]) if columns else None)
 
     def apply(self, x):
         return self._apply(x)
@@ -760,11 +767,16 @@ class _UncountedOperator(DenseOperator):
     def apply_adjoint(self, y):
         return self._adjoint(y)
 
+    def column(self, i):
+        return self._column(i)
+
 
 def test_product_counters_equal_a_wrapping_counter_and_change_no_iterate():
+    # Both sides have the same column access: with it the hybrid's face
+    # phases run on working sets, without it on full products.
     p = _sphere_walk_64x128()
     a = p.op.a
-    counts = {"fwd": 0, "adj": 0}
+    counts = {"fwd": 0, "adj": 0, "col": 0}
 
     def forward(x):
         counts["fwd"] += 1
@@ -774,18 +786,166 @@ def test_product_counters_equal_a_wrapping_counter_and_change_no_iterate():
         counts["adj"] += 1
         return a.T @ y
 
-    wrapped = LassoProblem(op=LinearOperator(a.shape, forward, adjoint),
-                           b=p.b, tau=p.tau)
-    plain = LassoProblem(op=_UncountedOperator(a), b=p.b, tau=p.tau)
-    for solve in (spg_solve, hybrid_solve):
-        counts.update(fwd=0, adj=0)
-        report = solve(wrapped)
-        assert type(report.forward_products) is type(report.adjoint_products) is int
-        assert report.forward_products == counts["fwd"] > 0
-        assert report.adjoint_products == counts["adj"] > 0
-        reference = solve(plain)
-        assert reference.forward_products == reference.adjoint_products == 0
-        assert (reference.status, reference.iterations) == (report.status,
-                                                            report.iterations)
-        assert reference.x.tobytes() == report.x.tobytes()
-        assert reference.f == report.f
+    def column(i):
+        counts["col"] += 1
+        return a[:, i]
+
+    for columns in (True, False):
+        wrapped = LassoProblem(op=LinearOperator(a.shape, forward, adjoint,
+                                                 column if columns else None),
+                               b=p.b, tau=p.tau)
+        plain = LassoProblem(op=_UncountedOperator(a, columns), b=p.b,
+                             tau=p.tau)
+        for solve in (spg_solve, hybrid_solve):
+            counts.update(fwd=0, adj=0, col=0)
+            report = solve(wrapped)
+            assert (type(report.forward_products) is type(report.adjoint_products)
+                    is type(report.column_reads) is int)
+            assert report.forward_products == counts["fwd"] > 0
+            assert report.adjoint_products == counts["adj"] > 0
+            assert report.column_reads == counts["col"]
+            assert (report.column_reads > 0) == (columns and solve is hybrid_solve)
+            reference = solve(plain)
+            assert reference.forward_products == reference.adjoint_products == 0
+            assert reference.column_reads == 0
+            assert (reference.status, reference.iterations) == (report.status,
+                                                                report.iterations)
+            assert reference.x.tobytes() == report.x.tobytes()
+            assert reference.f == report.f
+
+
+def test_working_set_products_equal_the_full_products():
+    # A_S d_S and the gradient A_S'r + c_S + mu*x_S on S equal the full
+    # products' entries to rounding, zero off S, on a face and on a subface
+    # whose columns are sliced from the face's.
+    rng = np.random.default_rng(11)
+    m, n = 30, 20
+    a = rng.normal(size=(m, n))
+    p = LassoProblem(op=DenseOperator(a), b=rng.normal(size=m), tau=1.0,
+                     mu=0.1, c=rng.normal(size=n))
+    support = np.sort(rng.choice(n, 8, replace=False))
+    x = np.zeros(n)
+    x[support] = rng.normal(size=8)
+    it = evaluate(p, x)
+    ws = solver_module._WorkingSet(p, support, it.g)
+    assert p.op.column_reads == 8 and p.op.forward_products == 1
+    for sub in (support, support[[0, 2, 3, 5, 7]]):
+        if len(sub) < len(ws.support):
+            ws.restrict(sub)
+        assert np.array_equal(ws.support, sub)
+        x = np.zeros(n)
+        x[sub] = rng.normal(size=len(sub))
+        d = np.zeros(n)
+        d[sub] = rng.normal(size=len(sub))
+        it = evaluate(p, x)
+        assert np.allclose(ws.cols @ d[sub], a @ d, rtol=0, atol=1e-13)
+        g = ws.gradient(it)
+        assert np.allclose(g[sub], (a.T @ it.r + p.c + p.mu * x)[sub],
+                           rtol=0, atol=1e-13)
+        assert not np.any(np.delete(g, sub))
+    assert p.op.column_reads == 8  # the subface read no column
+
+
+def test_face_certified_on_its_support_ends_off_face():
+    # The start lies on the face of support {0, 1, 2}, and a carried pair
+    # opens a working-set phase there at once.  The face's own optimum
+    # certifies on S, but entry 5 of the full gradient beats the face: the
+    # phase ends `off_face`, PG steps leave the face, and the solve stops
+    # only on a full certificate, at the global optimum.
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(20, 8))
+    a /= np.linalg.norm(a, axis=0)
+    x_true = np.zeros(8)
+    x_true[[0, 1, 2, 5]] = [1.0, 0.8, 0.6, 1.2]
+    b = a @ x_true
+    tau = 0.5 * float(np.abs(x_true).sum())
+    p = LassoProblem(op=DenseOperator(a), b=b, tau=tau)
+    x0 = np.zeros(8)
+    x0[[0, 1, 2]] = tau / 3
+    s = np.zeros(8)
+    s[[0, 1]] = [1.0, -1.0]
+    warm = WarmStart(1.0, 1.0, ((s, a.T @ (a @ s)),))
+    report = hybrid_solve(p, x0, SolverOptions(trace=True), warm=warm)
+    assert report.phase_ends["off_face"] == 1
+    kinds = [t.step_kind for t in report.trace]
+    first_pg = kinds.index("pg")
+    assert first_pg > 1 and set(kinds[1:first_pg]) == {"qn"}
+    assert all(t.face_dim == 2 for t in report.trace[:first_pg])
+    assert report.trace[first_pg - 1].gap > 1e-6  # the full gap, read once
+    assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+    x_star, f_star = qp_oracle(a, b, tau)
+    assert x_star[5] != 0
+    assert report.f == pytest.approx(f_star, abs=1e-6 * max(1.0, abs(f_star)))
+
+
+def test_final_phase_reads_its_columns_and_one_adjoint_per_certification(
+        monkeypatch):
+    # Gaussian 256x1024: the solve ends in a working-set phase that read the
+    # |S| columns of its face when it opened, and then paid one adjoint
+    # product, for the certificate that stopped the solve, and one forward
+    # product, for the exact report.
+    p = gen_instance(GeneratorSpec(m=256, n=1024, k=20), 5).problem()
+    op = p.op
+    opened = []  # (support size, columns read, then forward, adjoint, columns)
+
+    class Spy(solver_module._WorkingSet):
+        def __init__(self, problem, support, g):
+            before = op.column_reads
+            super().__init__(problem, support, g)
+            opened.append((len(support), op.column_reads - before,
+                           op.forward_products, op.adjoint_products,
+                           op.column_reads))
+
+    monkeypatch.setattr(solver_module, "_WorkingSet", Spy)
+    report = hybrid_solve(p, options=SolverOptions(trace=True))
+    assert report.status == STATUS_OPTIMAL
+    assert report.phase_ends["solve_end"] == 1
+    assert all(size == read for size, read, *_ in opened)
+    assert report.column_reads == sum(size for size, *_ in opened)
+    size, _, fwd, adj, col = opened[-1]
+    assert size == len(report.trace[-1].support) <= 1024 // 2
+    steps = len(report.trace) - 1 - max(
+        k for k, t in enumerate(report.trace) if t.step_kind != "qn")
+    assert steps > 1
+    assert (op.forward_products - fwd, op.adjoint_products - adj,
+            op.column_reads - col) == (1, 1, 0)
+
+
+def test_operator_without_columns_pays_an_adjoint_per_face_step():
+    _, p, counts = _counted_gaussian(8)
+    report = hybrid_solve(p)
+    assert report.status == STATUS_OPTIMAL and report.qn_steps > 0
+    assert report.column_reads == p.op.column_reads == 0
+    assert counts["adj"] == report.iterations + 1
+
+
+def test_carried_pairs_are_formed_once_by_the_solve_that_reads_them():
+    # A working-set step keeps A s, not y.  The next hybrid solve forms
+    # each such y when it reads the pairs, with an adjoint product it
+    # counts; a second read forms nothing.
+    first, wider = _solved_and_widened()
+    assert first.column_reads > 0
+    op = wider.op
+    adj = op.adjoint_products
+    report = hybrid_solve(wider, 1.01 * first.x, warm=first.warm)
+    assert report.adjoint_products == op.adjoint_products - adj
+    formed = op.adjoint_products
+    pairs = [(s.copy(), y.copy()) for s, y in first.warm.pairs]
+    assert op.adjoint_products == formed
+    a = op.a
+    for s, y in pairs:
+        hs = a.T @ (a @ s) + wider.mu * s
+        assert np.linalg.norm(y - hs) <= 1e-9 * np.linalg.norm(hs)
+
+
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_objective_that_overflows_reports_the_start(solve):
+    p = LassoProblem(op=DenseOperator(np.eye(2)), b=np.array([1e200, 1.0]),
+                     tau=1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report = solve(p, x0=np.array([3.0, 0.0]))
+    assert report.status == STATUS_NON_FINITE
+    assert report.iterations == 0
+    assert np.array_equal(report.x, [1.0, 0.0])  # the projected start
+    assert np.array_equal(report.r, [1.0 - 1e200, -1.0])
+    assert report.f == np.inf
