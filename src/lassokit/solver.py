@@ -47,8 +47,13 @@ opt_tol the step forms its full gradient, one adjoint product, and the
 oracle decides on the full certificate: the solve stops, or the phase ends
 `off_face` and the next PG step reads that gradient.  The best iterate is
 taken on every step, so the solve stops only on a full certificate, and
-x, f and gap come from one point.  The interior model, PG steps and spg
-keep their full products.
+x, f and gap come from one point; a solve that ends after a working-set
+step reads that step's full certificate first.  The S gap moves with each
+iterate's certificate, where the full path's best gap only falls, so a
+working-set phase may stall where a full one would go on: when the PG step
+after such a stall cannot move, the face reopens once on the full path
+before the solve ends `linesearch_failure`.  The interior model, PG steps
+and spg keep their full products.
 
 The phase keeps the ambient pairs (s, y) of its last MEMORY steps, from the
 PG step that opened it on.  A working-set step knows y only on S; it keeps
@@ -140,19 +145,13 @@ class WarmStart:
 
     `alpha_bb` is its last Barzilai-Borwein step and `pairs` the ambient
     (s, y) of its last face phase with s'y > 0.  `h0` is that of the model
-    open when it stopped, or `alpha_bb` when none was.  The arrays are
-    read-only copies.  A solve hands over `_DeferredPairs` when some y is
-    still to be formed.
+    open when it stopped, or `alpha_bb` when none was.  A solve hands over
+    `_PhasePairs`, read-only copies formed on first read.
     """
 
     alpha_bb: float
     h0: float = 1.0
     pairs: Sequence[tuple[NDArray, NDArray]] = ()
-
-    def __post_init__(self):
-        if not isinstance(self.pairs, _DeferredPairs):
-            object.__setattr__(self, "pairs", tuple(
-                (_read_only(s), _read_only(y)) for s, y in self.pairs))
 
 
 def _read_only(v: NDArray) -> NDArray:
@@ -161,9 +160,9 @@ def _read_only(v: NDArray) -> NDArray:
     return v
 
 
-class _DeferredPairs(Sequence):
-    """A phase's ambient pairs with s'y > 0, as read-only copies, formed on
-    first read.
+class _PhasePairs(Sequence):
+    """A phase's ambient pairs (s, y) with s'y > 0, as read-only copies,
+    formed on first read.
 
     Each entry is (s, y, None), or (s, None, A s) from a working-set step:
     then y = A'(A s) + mu*s costs one adjoint product, counted by the
@@ -192,6 +191,9 @@ class _DeferredPairs(Sequence):
 
     def __getitem__(self, i):
         return self._formed()[i]
+
+    def __eq__(self, other):
+        return self._formed() == other
 
 
 @dataclass
@@ -359,6 +361,7 @@ def _solve(
             ws = _working_set(problem, it, model, None)
 
     iteration = 0
+    reopen = False  # a working-set phase has just stalled
     while finite and not done and iteration < max_iter:
         iteration += 1
         prev = it
@@ -379,15 +382,24 @@ def _solve(
 
         if kind == "pg":
             res = _pg_search(problem, it, alpha_bb, max(history), options)
+            if res.status != "accepted" and reopen and (
+                    model := _face_model(problem, it.face, alpha_bb)) is not None:
+                # The S gap that stalled the phase moves with each iterate's
+                # certificate, where the full path's best gap only falls.
+                # Reopen the face once on the full path, whose exact face
+                # steps can still cut the gap where a PG step cannot move.
+                # Its stall guard starts from the full gap, which the search
+                # has formed the gradient for.
+                done = oracle.update(it)
+                gap = oracle.gap
+                reopen, largest = False, 0.0
+                record(iteration, "pg", gap)
+                continue
+            reopen = False
             if res.status != "accepted":
                 # Failed, or stationary: no move from an iterate the oracle
-                # rejects, so either way the run is stuck.  A working-set
-                # phase may have left the iterate's full certificate unread;
-                # the search has formed its gradient, so reading it costs no
-                # product, and it may yet certify the iterate.
-                done = oracle.update(it)
+                # rejects, so either way the run is stuck.
                 status = STATUS_LINESEARCH_FAILURE
-                record(iteration, "pg", oracle.gap)
                 break
             it = res.iterate
             history.append(it.f)
@@ -430,6 +442,7 @@ def _solve(
         drop = prev.f - it.f
         largest = max(largest, drop)
         if drop <= STALL_RATIO * largest and gap > STALL_GAP_SHRINK * gap_before:
+            reopen = ws is not None
             model = ws = None
             phase_ends["stall" if drop > 0 else "no_descent"] += 1
         elif res.alpha == bound or (model.basis is None
@@ -446,6 +459,15 @@ def _solve(
         else:
             rejected += not model.update(s, y)
 
+    if finite and not done:
+        # A working-set step reads its iterate's full certificate only when
+        # its S gap reaches opt_tol.  Read the last iterate's once, so that
+        # the gap pairs the best f with a current dual bound: at most one
+        # adjoint product, none after a PG search, which formed the
+        # gradient.  It may yet certify the iterate.
+        done = oracle.update(it)
+    if status == STATUS_LINESEARCH_FAILURE:
+        record(iteration, "pg", oracle.gap)
     if done:
         status = STATUS_OPTIMAL
     elif not finite:
@@ -457,16 +479,13 @@ def _solve(
     # the exact f and r at its x.
     best = oracle.best if finite else it
     f, r = (best.f, best.r) if best.r_exact else objective_value(problem, best.x)
-    pairs = _DeferredPairs(memory, problem)
-    if all(y is not None for _, y, _ in memory):
-        pairs = pairs[:]
     return SolverReport(
         x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start,
         phase_ends=phase_ends, pairs_rejected=rejected, warm_pairs=warm_pairs,
         trace=trace, warm=WarmStart(alpha_bb, model.h0 if model else alpha_bb,
-                                    pairs),
+                                    _PhasePairs(memory, problem)),
         forward_products=op.forward_products - fwd0,
         adjoint_products=op.adjoint_products - adj0,
         column_reads=op.column_reads - col0,
@@ -521,7 +540,9 @@ def _working_set(problem: LassoProblem, it: Iterate, model: LbfgsModel,
     """The working set for a new model at it.
 
     None unless the model is on a proper face of at most n/2 support
-    entries and the operator reads columns.  A model on a subface of ws's
+    entries and the operator reads columns.  Above n/2 a face step saves
+    less than half its products, and the full path was the faster one on
+    the sphere-walk faces measured there.  A model on a subface of ws's
     face restricts ws; any other gathers A_S.
     """
     basis = model.basis
@@ -542,14 +563,11 @@ def _face_step(problem: LassoProblem, it: Iterate, model: LbfgsModel,
     edge is the first sign flip; an interior one runs to the sphere.  On a
     working set the step reads the gradient on S and forms A d as A_S d_S.
     """
-    if ws is None:
-        d = model.direction(it.g)
-        if model.basis is None:
-            bound = max_step_on_face(it.x, d, problem.w, problem.tau)
-        else:
-            bound = first_sign_flip(it.x, d)
-        return face_wolfe_search(problem, it, d, bound), bound
-    d = model.direction(ws.g)
-    bound = first_sign_flip(it.x, d)
-    return face_wolfe_search(problem, it, d, bound, ws.cols @ d[ws.support],
-                             float(ws.g @ d)), bound
+    g = it.g if ws is None else ws.g
+    d = model.direction(g)
+    if model.basis is None:
+        bound = max_step_on_face(it.x, d, problem.w, problem.tau)
+    else:
+        bound = first_sign_flip(it.x, d)
+    ad = None if ws is None else ws.cols @ d[ws.support]
+    return face_wolfe_search(problem, it, d, bound, ad, float(g @ d)), bound

@@ -14,7 +14,12 @@ from lassokit.ball import (
     in_self_projection_cone,
     weighted_l1_norm,
 )
-from lassokit.duality import StoppingOracle, dual_weighted_inf_norm
+from lassokit.duality import (
+    StoppingOracle,
+    best_certificate,
+    dual_weighted_inf_norm,
+    relative_gap,
+)
 from lassokit.facebasis import basis_init, basis_to_dense
 from lassokit.model import (
     DenseOperator,
@@ -909,6 +914,77 @@ def test_final_phase_reads_its_columns_and_one_adjoint_per_certification(
     assert steps > 1
     assert (op.forward_products - fwd, op.adjoint_products - adj,
             op.column_reads - col) == (1, 1, 0)
+
+
+def test_iteration_limit_in_a_working_set_phase_reads_the_full_gap():
+    # The solve stops at max_iter three steps into its final working-set
+    # phase, whose steps read only the S gap.  It reads the last iterate's
+    # full certificate once, one adjoint product, so the reported gap is
+    # that point's and not the bound from before the phase.
+    p = gen_instance(GeneratorSpec(m=256, n=1024, k=20), 5).problem()
+    kinds = [t.step_kind
+             for t in hybrid_solve(p, options=SolverOptions(trace=True)).trace]
+    opened = max(k for k, kind in enumerate(kinds) if kind != "qn")
+    assert len(kinds) - opened > 4
+    cut = hybrid_solve(p, options=SolverOptions(max_iter=opened + 3))
+    assert cut.status == STATUS_ITER_LIMIT
+    cert = best_certificate(p, evaluate(p, cut.x))
+    assert cut.gap == pytest.approx(relative_gap(cut.f, cert.objective),
+                                    rel=1e-6)
+    assert cut.gap < 0.1
+    # One adjoint for the start, one per PG step, and the final read.
+    assert set(kinds[1:opened + 1]) == {"pg"}
+    assert cut.adjoint_products == 1 + opened + 1
+
+
+def test_failed_pg_step_after_a_working_set_stall_reopens_the_face_once(
+        monkeypatch):
+    # Every face phase stalls after one step, and every PG search from a
+    # point a face step reached makes no move.  The PG step after the
+    # working-set phase's stall reopens the face once on the full path;
+    # after that phase stalls too, the run ends `linesearch_failure`.
+    monkeypatch.setattr(solver_module, "STALL_RATIO", 1.0)
+    monkeypatch.setattr(solver_module, "STALL_GAP_SHRINK", 0.0)
+    face_steps = []  # whether each face step ran on a working set
+
+    def face_spy(problem, it, model, ws):
+        face_steps.append(ws is not None)
+        return face_step(problem, it, model, ws)
+
+    def pg_spy(problem, it, alpha, fmax, options):
+        if face_steps:
+            return SearchResult("stationary", it, 0.0, 1)
+        return pg_search(problem, it, alpha, fmax, options)
+
+    face_step, pg_search = solver_module._face_step, solver_module._pg_search
+    monkeypatch.setattr(solver_module, "_face_step", face_spy)
+    monkeypatch.setattr(solver_module, "_pg_search", pg_spy)
+    p = gen_instance(GeneratorSpec(m=256, n=1024, k=20), 5).problem()
+    report = hybrid_solve(p, options=SolverOptions(trace=True))
+    assert report.status == STATUS_LINESEARCH_FAILURE
+    assert face_steps == [True, False]
+    assert [t.step_kind for t in report.trace[-4:]] == ["qn", "pg", "qn", "pg"]
+    assert report.trace[-3].f == report.trace[-4].f  # no move
+    assert report.phase_ends["stall"] == 2
+
+
+def test_face_above_half_the_columns_keeps_the_full_products(monkeypatch):
+    # A face whose support holds more than n/2 entries keeps the full
+    # products; one of at most n/2 runs on a working set.
+    steps = []  # (support size, working set or None) per proper face step
+
+    def spy(problem, it, model, ws):
+        if model.basis is not None:
+            steps.append((len(model.basis.support), ws))
+        return face_step(problem, it, model, ws)
+
+    face_step = solver_module._face_step
+    monkeypatch.setattr(solver_module, "_face_step", spy)
+    hybrid_solve(_sphere_walk_64x128())
+    big = [ws for size, ws in steps if 2 * size > 128]
+    small = [ws for size, ws in steps if 2 * size <= 128]
+    assert big and all(ws is None for ws in big)
+    assert small and all(ws is not None for ws in small)
 
 
 def test_operator_without_columns_pays_an_adjoint_per_face_step():
