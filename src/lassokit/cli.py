@@ -1,7 +1,8 @@
 """Command-line interface: solve, root, gen, bench, arc-audit.
 
 Machine-first output: a single JSON run record on stdout for solve/root,
-CSV for bench, and plain PASS/FAIL lines for arc-audit.  Exit codes:
+CSV for bench, and plain PASS/FAIL lines for arc-audit.  The record is
+strict JSON: a non-finite number in it is written null.  Exit codes:
 0 success/optimal, 2 iteration or subproblem budget exhausted,
 3 line-search failure, or an objective that overflows at the start
 (status non_finite), 4 residual target sigma unreachable,
@@ -15,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -67,8 +69,20 @@ def _options_from_args(args) -> SolverOptions:
     )
 
 
+def _strict(value):
+    """The value with every non-finite float, at any depth, made None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record))
+    """Print the record as strict JSON: a non-finite float is written null."""
+    print(json.dumps(_strict(record), allow_nan=False))
 
 
 def _bad_input(message: object) -> int:

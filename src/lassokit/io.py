@@ -89,7 +89,7 @@ def read_manifest(path: str) -> dict:
     out: dict = {
         "A": read_matrix_market_array(resolve(entries["A"])),
         "b": read_vector(resolve(entries["b"])),
-        "mu": float(entries.get("mu", "0")),
+        "mu": 0.0,
     }
     m, n = out["A"].shape
     if len(out["b"]) != m:
@@ -102,7 +102,7 @@ def read_manifest(path: str) -> dict:
                     f"{path}: {key} has length {len(vec)}, expected {expect}"
                 )
             out[key] = vec
-    for key in ("tau", "sigma"):
+    for key in ("tau", "sigma", "mu"):
         if key in entries:
             try:
                 out[key] = float(entries[key])

@@ -94,15 +94,15 @@ class DenseOperator(LinearOperator):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LassoProblem:
     """Quadratic objective over a weighted one-norm ball of radius tau.
 
-    `b`, `w` and `c` are held as read-only copies, so the facts derived from
-    them once stay true: `ball_w` is the weights as the ball kernels take
-    them, None when every weight is one, and `zero_c` says that c is zero.
-    Assigning one of the three fields again stores a new copy and derives
-    the facts again.
+    The problem is frozen and holds `b`, `w` and `c` as read-only copies,
+    so the facts derived from them once stay true: `ball_w` is the weights
+    as the ball kernels take them, None when every weight is one, and
+    `zero_c` says that c is zero.  `dataclasses.replace` makes a changed
+    problem, checked and derived again.
     """
 
     op: LinearOperator
@@ -111,42 +111,33 @@ class LassoProblem:
     w: NDArray | None = None
     mu: float = 0.0
     c: NDArray | None = None
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in ("b", "w", "c") and value is not None:
-            value = np.array(value, dtype=float)
-            value.setflags(write=False)
-            if name == "w":
-                object.__setattr__(self, "ball_w",
-                                   None if np.all(value == 1.0) else value)
-            elif name == "c":
-                object.__setattr__(self, "zero_c", not np.any(value))
-        object.__setattr__(self, name, value)
+    ball_w: NDArray | None = field(init=False, repr=False, compare=False)
+    zero_c: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n = self.op.shape
-        if len(self.b) != m:
-            raise DimensionMismatchError(f"b has length {len(self.b)}, expected {m}")
-        if self.w is None:
-            self.w = np.ones(n)
-        else:
-            if len(self.w) != n:
-                raise DimensionMismatchError(f"w has length {len(self.w)}, expected {n}")
-            if np.any(self.w <= 0):
-                raise ValueError("weights must be strictly positive")
-        if self.c is None:
-            self.c = np.zeros(n)
-        elif len(self.c) != n:
-            raise DimensionMismatchError(f"c has length {len(self.c)}, expected {n}")
-        for name in ("b", "w", "c"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        w = np.ones(n) if self.w is None else self.w
+        c = np.zeros(n) if self.c is None else self.c
+        for name, value, size in (("b", self.b, m), ("w", w, n), ("c", c, n)):
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
+            if len(value) != size:
+                raise DimensionMismatchError(
+                    f"{name} has length {len(value)}, expected {size}")
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has a non-finite entry")
+            object.__setattr__(self, name, value)
+        if np.any(self.w <= 0):
+            raise ValueError("weights must be strictly positive")
         if not (np.isfinite(self.tau) and np.isfinite(self.mu)):
             raise ValueError("tau and mu must be finite")
         if self.tau < 0:
             raise ValueError("radius tau must be nonnegative")
         if self.mu < 0:
             raise ValueError("quadratic regularizer mu must be nonnegative")
+        object.__setattr__(self, "ball_w",
+                           None if np.all(self.w == 1.0) else self.w)
+        object.__setattr__(self, "zero_c", not np.any(self.c))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -15,8 +15,11 @@ Each subproblem after the first starts where the last one left off, at no
 product's cost: from the scale predictor P_tau(x*tau/tau_prev), which keeps
 the previous solution's signs and lands on the new sphere when that
 solution lies on its own, with the last subproblem's Barzilai-Borwein step,
-and, for the hybrid, with the ambient quasi-Newton pairs of its last face
-phase, reduced onto the predictor's face (`solver.WarmStart`).
+and, for the hybrid, with the quasi-Newton pairs (s, y) of its last face
+phase, reduced onto the predictor's face (`solver.WarmStart`).  f's Hessian
+does not depend on tau, so each y stays exact at the new radius on the
+support of the step that formed it.  The pairs are built with the report,
+and reading them costs no product.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ def solve_bpdn(
     b = problem.b
     norm_b = float(np.linalg.norm(b))
     tol = root_tol * max(sigma, 1e-3)
-    f_is_misfit = problem.mu == 0 and not np.any(problem.c)
+    f_is_misfit = problem.mu == 0 and problem.zero_c
     path: list[ParetoState] = []
 
     if norm_b <= sigma + tol:
@@ -211,8 +214,7 @@ def solve_bpdn(
                                     if lam > 0 else np.inf)
             sub_tol = max(options.opt_tol, min(
                 0.1, 2.0 * KAPPA * abs(misfit - sigma) / max(misfit, tol)))
-        sub = LassoProblem(op=problem.op, b=b, tau=tau, w=problem.w,
-                           mu=problem.mu, c=problem.c)
+        sub = dataclasses.replace(problem, tau=tau)
         x0 = scaled_start(x, path[-1].tau, tau, sub.ball_w)
         report: SolverReport = solve(
             sub, x0, dataclasses.replace(options, opt_tol=sub_tol), warm=warm)

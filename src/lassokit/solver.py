@@ -55,24 +55,25 @@ after such a stall cannot move, the face reopens once on the full path
 before the solve ends `linesearch_failure`.  The interior model, PG steps
 and spg keep their full products.
 
-The phase keeps the ambient pairs (s, y) of its last MEMORY steps, from the
-PG step that opened it on.  A working-set step knows y only on S; it keeps
-A s, the change in the residual, and y = A'(A s) + mu*s is formed, one
-adjoint product per pair, when the pairs are first read.  A solve can start
-from a `WarmStart` that an earlier solve of the same f at another radius
-returned (`SolverReport.warm`): its last Barzilai-Borwein step becomes the
-first step, and when the start's face is usable, whichever it is, the
-hybrid's first iteration is a face step from a model on it seeded with the
-last phase's pairs reduced onto it, as
-L-BFGS-B reduces its pairs onto the free variables (Byrd, Lu, Nocedal & Zhu,
-SIAM J. Sci. Comput. 16(5), 1995).  f is quadratic and its Hessian
-A'A + mu*I does not depend on tau, so y = (A'A + mu*I)s holds at every radius
-and on every face.  A pair whose s lies in the face's difference hull reduces
-to an exact secant pair of the reduced Hessian; any other is an
-approximation, which the curvature check may turn away and which can cost
-steps but not correctness: a face step still goes to the exact ray minimizer
-and needs g'd < 0.  The solver builds the face basis from its own problem,
-so a warm start from another problem can cost steps but never feasibility.
+The phase keeps the pairs (s, y) of its last MEMORY steps, from the PG
+step that opened it on: y is the change in the gradient, or on a
+working-set step the change in its gradient on S, zero off S.  f is
+quadratic and its Hessian A'A + mu*I does not depend on tau, so
+y = (A'A + mu*I)s holds at every radius, on S at least: on every face inside
+S, the one a solve that stops in the phase ends on among them.  A solve can
+start from a `WarmStart` that an earlier solve of the same f at another
+radius returned (`SolverReport.warm`): its last Barzilai-Borwein step
+becomes the first step, and when the start's face is usable, whichever it
+is, the hybrid's first iteration is a face step from a model on it seeded
+with the last phase's pairs reduced onto it, as L-BFGS-B reduces its pairs
+onto the free variables (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput.
+16(5), 1995).  A pair whose s lies in the face's difference hull and whose
+y is exact on the face's support reduces to an exact secant pair of the
+reduced Hessian; any other is an approximation, which the curvature check
+may turn away and which can cost steps but not correctness: a face step
+still goes to the exact ray minimizer and needs g'd < 0.  The solver builds
+the face basis from its own problem, so a warm start from another problem
+can cost steps but never feasibility.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,57 +143,21 @@ class TraceRecord:
 class WarmStart:
     """What a solve hands to the next solve of the same f at another radius.
 
-    `alpha_bb` is its last Barzilai-Borwein step and `pairs` the ambient
-    (s, y) of its last face phase with s'y > 0.  `h0` is that of the model
-    open when it stopped, or `alpha_bb` when none was.  A solve hands over
-    `_PhasePairs`, read-only copies formed on first read.
+    `alpha_bb` is its last Barzilai-Borwein step and `pairs` the (s, y) of
+    its last face phase with s'y > 0, as read-only copies; y is zero off the
+    support of a working-set step.  `h0` is that of the model open when it
+    stopped, or `alpha_bb` when none was.
     """
 
     alpha_bb: float
     h0: float = 1.0
-    pairs: Sequence[tuple[NDArray, NDArray]] = ()
+    pairs: tuple[tuple[NDArray, NDArray], ...] = ()
 
 
 def _read_only(v: NDArray) -> NDArray:
     v = np.array(v, dtype=float)
     v.setflags(write=False)
     return v
-
-
-class _PhasePairs(Sequence):
-    """A phase's ambient pairs (s, y) with s'y > 0, as read-only copies,
-    formed on first read.
-
-    Each entry is (s, y, None), or (s, None, A s) from a working-set step:
-    then y = A'(A s) + mu*s costs one adjoint product, counted by the
-    operator when the pairs are first read.
-    """
-
-    def __init__(self, entries, problem: LassoProblem):
-        self._entries, self._problem = tuple(entries), problem
-        self._pairs = None
-
-    def _formed(self) -> tuple[tuple[NDArray, NDArray], ...]:
-        if self._pairs is None:
-            p, pairs = self._problem, []
-            for s, y, a_s in self._entries:
-                if y is None:
-                    y = p.op.apply_adjoint(a_s)
-                    if p.mu > 0:
-                        y = y + p.mu * s
-                if float(s @ y) > 0:
-                    pairs.append((_read_only(s), _read_only(y)))
-            self._pairs, self._entries, self._problem = tuple(pairs), (), None
-        return self._pairs
-
-    def __len__(self) -> int:
-        return len(self._formed())
-
-    def __getitem__(self, i):
-        return self._formed()[i]
-
-    def __eq__(self, other):
-        return self._formed() == other
 
 
 @dataclass
@@ -338,7 +302,7 @@ def _solve(
             ))
 
     # The face phase's model and working set, None between phases, and the
-    # (s, y, A s) of the last phase's last steps.
+    # (s, y) of the last phase's last steps.
     model = ws = None
     memory = deque(maxlen=MEMORY)
     rejected = warm_pairs = 0  # pairs the curvature check turned away / kept
@@ -353,10 +317,10 @@ def _solve(
                 and ALPHA_MIN <= warm.alpha_bb <= ALPHA_MAX else _initial_bb(it.g))
     if hybrid and finite and warm is not None and warm.pairs and all(
             len(s) == len(y) == n for s, y in warm.pairs):
-        memory.extend((s, y, None) for s, y in warm.pairs)
+        memory.extend(warm.pairs)
         model = _face_model(problem, it.face, warm.h0)
         if model is not None:
-            warm_pairs = sum(model.update(s, y) for s, y, _ in memory)
+            warm_pairs = sum(model.update(s, y) for s, y in memory)
             rejected = len(memory) - warm_pairs
             ws = _working_set(problem, it, model, None)
 
@@ -408,14 +372,12 @@ def _solve(
         s = it.x - prev.x
         if ws is None:
             y = it.g - prev.g
-            memory_entry = (s, y, None)
             done = oracle.update(it)
             gap = oracle.gap
         else:
-            # y is known on S only; keep A s, the residual's change, instead.
+            # The change in the S gradient: exact on S, zero off it.
             g = ws.gradient(it)
             y, ws.g = g - ws.g, g
-            memory_entry = (s, None, it.r - prev.r)
             gap = oracle.face_gap(it, g)
             if gap <= options.opt_tol:
                 done = oracle.update(it)
@@ -431,12 +393,12 @@ def _solve(
             if prev.face == it.face:
                 model = _face_model(problem, it.face, alpha_bb)
                 if model is not None:
-                    memory = deque([memory_entry], maxlen=MEMORY)
+                    memory = deque([(s, y)], maxlen=MEMORY)
                     rejected += not model.update(s, y)
                     largest = 0.0
                     ws = _working_set(problem, it, model, None)
             continue
-        memory.append(memory_entry)
+        memory.append((s, y))
         if model is None:  # ended off the face
             continue
         drop = prev.f - it.f
@@ -484,8 +446,10 @@ def _solve(
         status=status, iterations=iteration, qn_steps=qn_steps,
         pg_steps=pg_steps, time_sec=time.perf_counter() - start,
         phase_ends=phase_ends, pairs_rejected=rejected, warm_pairs=warm_pairs,
-        trace=trace, warm=WarmStart(alpha_bb, model.h0 if model else alpha_bb,
-                                    _PhasePairs(memory, problem)),
+        trace=trace, warm=WarmStart(
+            alpha_bb, model.h0 if model else alpha_bb,
+            tuple((_read_only(s), _read_only(y))
+                  for s, y in memory if float(s @ y) > 0)),
         forward_products=op.forward_products - fwd0,
         adjoint_products=op.adjoint_products - adj0,
         column_reads=op.column_reads - col0,

@@ -14,6 +14,10 @@ from lassokit.cli import (
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def _gen(tmp_path, *extra, seed=0, m=24, n=40, k=4):
     out = tmp_path / "bundle"
     code = main([
@@ -310,6 +314,12 @@ def test_objective_that_overflows_exits_3(tmp_path, capsys, command, scalar):
                        {scalar: 1.0})
     with pytest.warns(RuntimeWarning, match="overflow"):
         code = main([command, "--manifest", str(manifest)])
-    record = json.loads(capsys.readouterr().out.strip())
+    # Strict JSON: the overflowed values are null, not Infinity or NaN.
+    record = json.loads(capsys.readouterr().out.strip(),
+                        parse_constant=_reject_constant)
     assert code == EXIT_LINESEARCH == 3
     assert record["status"] == "non_finite"
+    if command == "solve":
+        assert record["f"] is None and record["gap"] is None
+    else:
+        assert record["misfit"] is None and record["path"][-1]["gap"] is None

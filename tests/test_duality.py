@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_weak_duality_all_formulations():
         mu = float(rng.choice([0.0, 0.05, 0.5]))
         p = _problem(rng, mu=mu, tau=float(rng.uniform(0.2, 2.0)),
                      weighted=True)
-        p.c = crng.normal(size=p.shape[1])
+        p = dataclasses.replace(p, c=crng.normal(size=p.shape[1]))
         it = _feasible(rng, p)
         certs = [certificate_augmented(p, it)]
         if mu > 0:
@@ -258,7 +260,7 @@ def test_augmented_certificate_equals_the_negated_formula():
         for weighted in (False, True):
             p = _problem(rng, mu=mu, tau=0.7, weighted=weighted)
             if weighted:
-                p.c = rng.normal(size=p.shape[1])
+                p = dataclasses.replace(p, c=rng.normal(size=p.shape[1]))
             it = _feasible(rng, p)
             y, z = -it.r, -it.g
             lam = float(np.max(np.abs(z) / p.w))
@@ -280,7 +282,7 @@ def test_face_gap_is_never_above_the_full_gap(mu, weighted):
     rng = np.random.default_rng(23)
     for _ in range(20):
         p = _problem(rng, m=8, n=10, mu=mu, weighted=weighted)
-        p.c = rng.normal(size=10)
+        p = dataclasses.replace(p, c=rng.normal(size=10))
         support = np.sort(rng.choice(10, 4, replace=False))
         x = np.zeros(10)
         x[support] = rng.normal(size=4)

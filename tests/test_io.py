@@ -83,6 +83,18 @@ def test_manifest_errors(tmp_path, content):
         lio.read_manifest(str(path))
 
 
+@pytest.mark.parametrize("key", ["tau", "mu"])
+def test_manifest_scalar_that_is_not_a_number_names_the_file(tmp_path, key):
+    _write_bundle(tmp_path, {"tau": 1.0})
+    path = tmp_path / "manifest.txt"
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith(key)]
+    path.write_text("\n".join(lines + [f"{key} = abc"]) + "\n")
+    with pytest.raises(lio.ManifestError,
+                       match=f"manifest.txt: {key} is not a number"):
+        lio.read_manifest(str(path))
+
+
 def test_manifest_length_mismatch(tmp_path):
     _write_bundle(tmp_path, {"tau": 1.0}, extra={"w": "w.txt"})
     lio.write_vector(str(tmp_path / "w.txt"), np.ones(5))

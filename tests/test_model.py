@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,18 +180,37 @@ def test_problem_facts_follow_reassigned_fields():
     assert p.ball_w is None and p.zero_c
     x = np.array([0.3, -0.2, 0.1])
     f0 = evaluate(p, x).f
-    # Reassigned after construction, as a caller may: the facts follow.
+    # A problem with a field replaced derives its facts again.
     c = rng.normal(size=3)
-    p.c = c
+    p = dataclasses.replace(p, c=c)
     assert not p.zero_c
     assert evaluate(p, x).f == pytest.approx(f0 + float(c @ x), rel=1e-14)
     assert np.allclose(evaluate(p, x).g, a.T @ (a @ x - b) + c)
     w = rng.uniform(0.5, 2.0, size=3)
-    p.w = w
+    p = dataclasses.replace(p, w=w)
     assert p.ball_w is p.w and np.array_equal(p.w, w)
-    p.w, p.c = np.ones(3), np.zeros(3)
+    p = dataclasses.replace(p, w=np.ones(3), c=np.zeros(3))
     assert p.ball_w is None and p.zero_c
     assert evaluate(p, x).f == f0
+
+
+def test_problem_rejects_assignment_and_checks_replaced_fields():
+    # Assigning a field after construction would skip the checks: an
+    # infinite radius, negative weights, or a b of the wrong length.
+    rng = np.random.default_rng(20)
+    p = LassoProblem(op=DenseOperator(rng.normal(size=(5, 3))),
+                     b=rng.normal(size=5), tau=1.0)
+    for name, value in (("tau", float("inf")), ("w", -np.ones(3)),
+                        ("b", np.ones(4)), ("c", np.ones(3)), ("zero_c", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert p.tau == 1.0 and p.ball_w is None and p.zero_c and len(p.b) == 5
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(p, tau=float("inf"))
+    with pytest.raises(ValueError, match="strictly positive"):
+        dataclasses.replace(p, w=-np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        dataclasses.replace(p, b=np.ones(4))
 
 
 def test_problem_holds_read_only_copies():
@@ -200,9 +221,9 @@ def test_problem_holds_read_only_copies():
     for name in ("b", "w", "c"):
         with pytest.raises(ValueError):
             getattr(p, name)[0] = 7.0
-    p.c = c
+    q = dataclasses.replace(p, c=c)
     with pytest.raises(ValueError):
-        p.c[0] = 7.0
+        q.c[0] = 7.0
     # The caller's arrays stay writable, and writing them leaves p as it is.
     for v, stored in ((b, p.b), (w, p.w), (c, p.c)):
         assert v.flags.writeable

@@ -262,8 +262,8 @@ def test_scale_predictor_lands_on_the_new_sphere():
 
 @pytest.mark.parametrize("solver", ["spg", "hybrid"])
 def test_root_report_counts_every_product(solver):
-    # With columns the hybrid's face phases run on working sets, and a
-    # subproblem that reads carried pairs forms their y with adjoints.
+    # With columns the hybrid's face phases run on working sets, whose
+    # columns count as column reads, not products.
     inst = gen_instance(GeneratorSpec(m=32, n=64, k=5), 3)
     counts = {"fwd": 0, "adj": 0, "col": 0}
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -607,24 +609,29 @@ def test_warm_start_on_another_face_seeds_the_first_model(monkeypatch):
     assert report.status == STATUS_OPTIMAL
 
 
-def test_warm_pairs_are_exact_ambient_pairs_across_subfaces():
-    # A loose solve stops in a phase that has passed through subfaces.  The
-    # carried pairs are that phase's ambient steps: each moves entries that
-    # are zero on the face the solve ends on, so no single face basis could
-    # hold them, and f is quadratic, so y = (A'A + mu*I)s.
+def test_warm_pairs_are_exact_on_the_final_face_support():
+    # A loose solve stops in a working-set phase that has passed through
+    # subfaces.  Each carried y is the change in the gradient on the step's
+    # support S, and f is quadratic, so y = (A'A + mu*I)s on S, which holds
+    # the support of the face the solve ends on.  The steps move entries off
+    # that support, so no single face basis could hold them.
     p = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
                                    gamma=0.1, k=10), 1).problem(mu=1e-3)
     report = hybrid_solve(p, options=SolverOptions(opt_tol=1e-3))
-    assert report.column_reads > 0  # steps that keep A s, not y
+    assert report.column_reads > 0  # working-set steps
     warm, face = report.warm, face_of(report.x, p.w, p.tau)
     assert face.kind == "proper" and len(warm.pairs) == MEMORY
+    on = face.signs != 0
     a = p.op.a
     for s, y in warm.pairs:
         assert len(s) == len(y) == p.shape[1]
-        assert np.any(s[face.signs == 0] != 0)
+        assert not (s.flags.writeable or y.flags.writeable)
+        assert np.any(s[~on] != 0)
         hs = a.T @ (a @ s) + p.mu * s
-        assert np.linalg.norm(y - hs) <= 1e-9 * np.linalg.norm(hs)
+        assert np.linalg.norm(y[on] - hs[on]) <= 1e-9 * np.linalg.norm(hs[on])
         assert float(s @ y) > 0
+    # A working-set step's y is zero off its support.
+    assert any(np.all(y[s == 0] == 0) for s, y in warm.pairs)
 
 
 def test_ambient_pair_in_the_subface_hull_is_an_exact_reduced_pair():
@@ -995,23 +1002,46 @@ def test_operator_without_columns_pays_an_adjoint_per_face_step():
     assert counts["adj"] == report.iterations + 1
 
 
-def test_carried_pairs_are_formed_once_by_the_solve_that_reads_them():
-    # A working-set step keeps A s, not y.  The next hybrid solve forms
-    # each such y when it reads the pairs, with an adjoint product it
-    # counts; a second read forms nothing.
+def test_carried_pairs_cost_no_product_to_read_or_seed():
+    # A working-set step hands on the change in the gradient on S that it
+    # formed.  Reading the pairs forms no product, and a warm solve that
+    # seeds its first model from them and takes no step forms only the
+    # start's own: one forward product for f and one adjoint for its
+    # gradient, as a cold solve does.
     first, wider = _solved_and_widened()
     assert first.column_reads > 0
     op = wider.op
-    adj = op.adjoint_products
-    report = hybrid_solve(wider, 1.01 * first.x, warm=first.warm)
-    assert report.adjoint_products == op.adjoint_products - adj
-    formed = op.adjoint_products
-    pairs = [(s.copy(), y.copy()) for s, y in first.warm.pairs]
-    assert op.adjoint_products == formed
-    a = op.a
-    for s, y in pairs:
-        hs = a.T @ (a @ s) + wider.mu * s
-        assert np.linalg.norm(y - hs) <= 1e-9 * np.linalg.norm(hs)
+    counts = lambda: (op.forward_products, op.adjoint_products)
+    before = counts()
+    assert first.warm.pairs and counts() == before
+    x0 = 1.01 * first.x
+    seeded = hybrid_solve(wider, x0, SolverOptions(max_iter=0),
+                          warm=first.warm)
+    assert seeded.warm_pairs > 0
+    assert counts() == (before[0] + 1, before[1] + 1)
+    cold = hybrid_solve(wider, x0, SolverOptions(max_iter=0))
+    assert (seeded.forward_products, seeded.adjoint_products) == \
+        (cold.forward_products, cold.adjoint_products) == (1, 1)
+    # A full warm solve counts every product it forms.
+    before = counts()
+    report = hybrid_solve(wider, x0, warm=first.warm)
+    assert report.status == STATUS_OPTIMAL
+    assert counts() == (before[0] + report.forward_products,
+                        before[1] + report.adjoint_products)
+
+
+def test_report_holds_no_reference_to_its_problem():
+    # The carried pairs are plain arrays, so a kept report does not keep
+    # the problem's operator, and with it the matrix, alive.
+    p = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
+                                   gamma=0.1, k=10), 1).problem(mu=1e-3)
+    op = weakref.ref(p.op)
+    report = hybrid_solve(p, options=SolverOptions(opt_tol=1e-3, trace=True))
+    assert report.column_reads > 0
+    del p
+    gc.collect()
+    assert op() is None
+    assert report.warm.pairs
 
 
 @pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
