@@ -126,6 +126,8 @@ def cmd_solve(args) -> int:
         "forward_products": report.forward_products,
         "adjoint_products": report.adjoint_products,
         "column_reads": report.column_reads,
+        "column_work": report.column_work,
+        "working_set_sizes": report.working_set_sizes,
         "tau": problem.tau,
         "time_sec": report.time_sec,
     })
@@ -156,6 +158,7 @@ def cmd_root(args) -> int:
         "forward_products": report.forward_products,
         "adjoint_products": report.adjoint_products,
         "column_reads": report.column_reads,
+        "column_work": report.column_work,
         "time_sec": report.time_sec,
         "path": [dataclasses.asdict(state) for state in report.path],
     })

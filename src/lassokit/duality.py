@@ -12,6 +12,10 @@ so checking the gap costs no operator product.  A certificate read from a
 gradient that is exact on a face's support S and zero elsewhere ignores the
 entries off S: it bounds no dual, but its gap is never above the full one,
 so it tells a face phase when the full gradient is worth forming.
+
+The oracle keeps the iterate of its best bound, whose residual any larger
+problem with the same b can read as a dual point: an outer working-set
+round lifts it to all n columns with one adjoint product.
 """
 
 from __future__ import annotations
@@ -106,8 +110,10 @@ class StoppingOracle:
     """Keeps the best iterate and the best dual bound with its multiplier,
     and decides optimality by their relative gap.
 
-    Only a strictly lower f replaces the best iterate, so a NaN f never
-    does; it starts as a point of f = inf with no x or r.
+    `dual_point` is the iterate whose residual r gave the best bound, by
+    the dual point y = -r: an outer working-set round lifts it to the full
+    problem.  Only a strictly lower f replaces the best iterate, so a NaN f
+    never does; it starts as a point of f = inf with no x or r.
     """
 
     def __init__(self, problem: LassoProblem, opt_tol: float):
@@ -116,13 +122,27 @@ class StoppingOracle:
         self.best = Iterate(x=None, r=None, f=np.inf, problem=problem)
         self.dual_obj = -np.inf
         self.lambda_best = 0.0
+        self.dual_point: Iterate | None = None
 
     def update(self, iterate: Iterate) -> bool:
-        cert = best_certificate(self.problem, iterate)
+        """Take the iterate as a candidate best point and its certificate as
+        a candidate bound; True when the gap meets the tolerance."""
+        self.take(iterate)
+        return self.bound(iterate)
+
+    def take(self, iterate: Iterate) -> None:
+        """Take the iterate as a candidate best point, forming no certificate."""
         if iterate.f < self.best.f:
             self.best = iterate
+
+    def bound(self, iterate: Iterate) -> bool:
+        """Take the certificate of the iterate's dual point as a candidate
+        bound, not the iterate as a best point; True when the gap meets the
+        tolerance."""
+        cert = best_certificate(self.problem, iterate)
         if cert.objective > self.dual_obj:
             self.dual_obj, self.lambda_best = cert.objective, cert.lam
+            self.dual_point = iterate
         return self.gap <= self.opt_tol
 
     def face_gap(self, iterate: Iterate, g_face: NDArray) -> float:
@@ -133,8 +153,7 @@ class StoppingOracle:
         That certificate bounds no dual and is not kept, and the gap is
         never above the one `update(iterate)` would leave.
         """
-        if iterate.f < self.best.f:
-            self.best = iterate
+        self.take(iterate)
         cert = best_certificate(self.problem, iterate, g_face)
         return relative_gap(self.best.f, max(self.dual_obj, cert.objective))
 

@@ -63,6 +63,7 @@ class ParetoState:
     opt_tol: float  # relative gap the subproblem was asked for
     gap: float  # relative gap it returned
     warm_pairs: int = 0  # carried pairs its first model stored
+    working_set_sizes: list[int] = field(default_factory=list)  # its |W| per round
 
 
 @dataclass
@@ -77,6 +78,7 @@ class RootReport:
     forward_products: int  # products A x the run formed
     adjoint_products: int  # products A'y the run formed
     column_reads: int  # columns of A the run read through op.column
+    column_work: int  # SolverReport.column_work summed over the subproblems
     path: list[ParetoState] = field(default_factory=list)
 
 
@@ -118,6 +120,17 @@ def misfit_interval(misfit: float, gap_abs: float,
         return math.sqrt(max(misfit * misfit - 2.0 * gap_abs, 0.0)), misfit
     radius = math.sqrt(2.0 * gap_abs)
     return misfit - radius, misfit + radius
+
+
+def _norm(v: NDArray) -> float:
+    """||v||, scaled by max |v_i| only where the plain norm overflows, so
+    that every finite plain norm is kept bit for bit."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm) and np.all(np.isfinite(v)):
+        scale = float(np.max(np.abs(v)))
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
 
 
 def newton_tau_update(tau: float, misfit: float, sigma: float, lam: float) -> float:
@@ -179,7 +192,7 @@ def solve_bpdn(
     op = problem.op
     fwd0, adj0, col0 = op.forward_products, op.adjoint_products, op.column_reads
     b = problem.b
-    norm_b = float(np.linalg.norm(b))
+    norm_b = _norm(b)
     tol = root_tol * max(sigma, 1e-3)
     f_is_misfit = problem.mu == 0 and problem.zero_c
     path: list[ParetoState] = []
@@ -190,7 +203,7 @@ def solve_bpdn(
                           status=STATUS_CONVERGED, subproblems=0,
                           time_sec=time.perf_counter() - start,
                           forward_products=0, adjoint_products=0,
-                          column_reads=0, path=path)
+                          column_reads=0, column_work=0, path=path)
 
     # The radius-zero subproblem is trivial: x = 0, multiplier from b.
     lam = dual_weighted_inf_norm(problem.op.apply_adjoint(b) - problem.c,
@@ -204,6 +217,7 @@ def solve_bpdn(
     status = STATUS_BUDGET
     resolve = False  # solve the same radius again, to opt_tol
     warm: WarmStart | None = None
+    column_work = 0
 
     for _ in range(max_subproblems):
         if resolve:
@@ -219,12 +233,13 @@ def solve_bpdn(
         report: SolverReport = solve(
             sub, x0, dataclasses.replace(options, opt_tol=sub_tol), warm=warm)
         x = report.x
-        misfit = float(np.linalg.norm(report.r))
+        misfit = _norm(report.r)
         lam = report.lam
         warm = report.warm
+        column_work += report.column_work
         path.append(ParetoState(tau, misfit, lam, report.status,
                                 report.iterations, sub_tol, report.gap,
-                                report.warm_pairs))
+                                report.warm_pairs, report.working_set_sizes))
         if report.status == STATUS_NON_FINITE:
             status = STATUS_NON_FINITE
             break
@@ -253,4 +268,5 @@ def solve_bpdn(
                       time_sec=time.perf_counter() - start,
                       forward_products=op.forward_products - fwd0,
                       adjoint_products=op.adjoint_products - adj0,
-                      column_reads=op.column_reads - col0, path=path)
+                      column_reads=op.column_reads - col0,
+                      column_work=column_work, path=path)

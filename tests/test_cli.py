@@ -50,6 +50,9 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
     assert type(record["pairs_rejected"]) is int
     assert record["forward_products"] > 0 and record["adjoint_products"] > 0
     assert type(record["column_reads"]) is int
+    # A 40-column problem stays on the full path: no outer round.
+    assert type(record["column_work"]) is int
+    assert record["working_set_sizes"] == []
     x = lio.read_vector(str(xfile))
     assert len(x) == 40
     with open(trace, newline="") as fh:
@@ -100,8 +103,10 @@ def test_root_converges(tmp_path, capsys):
     assert path[-1]["tau"] == record["tau"]
     assert path[-1]["misfit"] == record["misfit"]
     assert all(entry["warm_pairs"] >= 0 for entry in path)
+    assert all(entry["working_set_sizes"] == [] for entry in path)
     assert record["forward_products"] > 0 and record["adjoint_products"] > 0
     assert type(record["column_reads"]) is int
+    assert type(record["column_work"]) is int
 
 
 def test_root_unreachable_sigma_exits_4(tmp_path, capsys):
@@ -322,4 +327,7 @@ def test_objective_that_overflows_exits_3(tmp_path, capsys, command, scalar):
     if command == "solve":
         assert record["f"] is None and record["gap"] is None
     else:
-        assert record["misfit"] is None and record["path"][-1]["gap"] is None
+        # The misfits are finite, 1e200 = hypot(1e200, 1), although their
+        # squares overflow; the subproblem's gap is not.
+        assert record["misfit"] == record["path"][0]["misfit"] == 1e200
+        assert record["path"][-1]["gap"] is None

@@ -291,6 +291,9 @@ def test_root_report_counts_every_product(solver):
         assert type(report.column_reads) is int
         assert report.column_reads == counts["col"]
         assert (report.column_reads > 0) == (columns and solver == "hybrid")
+        # The work on gathered columns is the subproblems', summed.
+        assert type(report.column_work) is int
+        assert (report.column_work > 0) == (columns and solver == "hybrid")
 
 
 @pytest.mark.parametrize("solver", ["spg", "hybrid"])
@@ -305,3 +308,14 @@ def test_objective_that_overflows_ends_the_run(solver):
     assert report.subproblems == 1
     assert report.path[-1].subproblem_status == STATUS_NON_FINITE
     assert np.array_equal(report.x, np.zeros(2))
+    # ||b|| and the misfit are finite although their squares overflow.
+    assert report.path[0].misfit == report.misfit == 1e200
+
+
+def test_norm_is_the_plain_norm_unless_that_overflows():
+    rng = np.random.default_rng(4)
+    for scale in (1e-200, 1e-3, 1.0, 1e150):
+        v = scale * rng.normal(size=50)
+        assert rootfind._norm(v) == float(np.linalg.norm(v))
+    assert rootfind._norm(np.array([3e200, 4e200])) == pytest.approx(5e200)
+    assert rootfind._norm(np.array([np.inf, 1.0])) == np.inf

@@ -20,6 +20,7 @@ from lassokit.duality import (
     StoppingOracle,
     best_certificate,
     dual_weighted_inf_norm,
+    gap_scale,
     relative_gap,
 )
 from lassokit.facebasis import basis_init, basis_to_dense
@@ -1055,3 +1056,203 @@ def test_objective_that_overflows_reports_the_start(solve):
     assert np.array_equal(report.x, [1.0, 0.0])  # the projected start
     assert np.array_equal(report.r, [1.0 - 1e200, -1.0])
     assert report.f == np.inf
+
+
+def test_column_work_is_a_hand_count_and_changes_no_iterate(monkeypatch):
+    # Sphere-walk 64x128 stays on the full path, and its face phases run on
+    # working sets: each working-set face step forms A_S d_S, and each one
+    # it takes forms A_S'r.  A count of |S| per product, taken by spies that
+    # return what they wrap, equals the report's, and every iterate is
+    # that of the unspied solve.
+    p = _sphere_walk_64x128()
+    plain = hybrid_solve(p, options=SolverOptions(trace=True))
+    hand = [0]
+
+    def step_spy(problem, it, model, ws):
+        hand[0] += 0 if ws is None else len(ws.support)
+        return face_step(problem, it, model, ws)
+
+    def gradient_spy(ws, it):
+        hand[0] += len(ws.support)
+        return gradient(ws, it)
+
+    face_step = solver_module._face_step
+    gradient = solver_module._WorkingSet.gradient
+    monkeypatch.setattr(solver_module, "_face_step", step_spy)
+    monkeypatch.setattr(solver_module._WorkingSet, "gradient", gradient_spy)
+    spied = hybrid_solve(p, options=SolverOptions(trace=True))
+    assert type(spied.column_work) is int and spied.working_set_sizes == []
+    assert spied.column_work == hand[0] > 0
+    assert spied.column_work == plain.column_work
+    assert spied.x.tobytes() == plain.x.tobytes()
+    assert [(t.step_kind, t.f, t.gap) for t in spied.trace] == \
+        [(t.step_kind, t.f, t.gap) for t in plain.trace]
+    assert spg_solve(p).column_work == 0
+
+
+def _outer_on(monkeypatch, start):
+    """Make every problem with a column callable take the outer working set,
+    from W0 of the start's support and `start` columns."""
+    monkeypatch.setattr(solver_module, "OUTER_MIN_ENTRIES", 0)
+    monkeypatch.setattr(solver_module, "OUTER_START", start)
+
+
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_outer_solve_matches_the_oracle(monkeypatch, solve, mu):
+    # Random 12x8 problems with non-unit weights and c != 0, from W0 of 2
+    # columns: f is the exhaustive oracle's, the gap recomputed from the
+    # reported x meets opt_tol, and lam is the multiplier of all n columns.
+    _outer_on(monkeypatch, 2)
+    rng = np.random.default_rng(21)
+    rounds = []
+    for _ in range(4):
+        a = rng.normal(size=(12, 8))
+        x_true = np.zeros(8)
+        x_true[rng.choice(8, 3, replace=False)] = rng.normal(size=3)
+        w = rng.uniform(0.5, 2.0, size=8)
+        c = 0.05 * rng.normal(size=8)
+        b = a @ x_true + 0.01 * rng.normal(size=12)
+        tau = 0.5 * float(w @ np.abs(x_true))
+        p = LassoProblem(op=DenseOperator(a), b=b, tau=tau, w=w, mu=mu, c=c)
+        report = solve(p)
+        assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+        rounds.append(report.working_set_sizes)
+        _, f_star = qp_oracle(a, b, tau, mu=mu, c=c, w=w)
+        assert report.f == pytest.approx(f_star, rel=1e-6, abs=1e-9)
+        it = evaluate(p, report.x)
+        cert = best_certificate(p, it)
+        assert relative_gap(it.f, cert.objective) <= 1e-6
+        assert report.lam == pytest.approx(cert.lam, rel=1e-3, abs=1e-9)
+    assert all(sizes and sizes[0] == 2 for sizes in rounds)
+    assert any(len(sizes) > 1 for sizes in rounds)
+
+
+def test_outer_solve_finishes_on_the_full_problem_above_half(monkeypatch):
+    # Sphere-walk 64x128 from W0 of 40 columns: the next set would pass
+    # n/2 = 64 columns, so the full solve finishes from the round's point,
+    # on all 128 columns, and its full products.
+    p = _sphere_walk_64x128()
+    full = hybrid_solve(p)
+    _outer_on(monkeypatch, 40)
+    report = hybrid_solve(p)
+    assert full.working_set_sizes == [] and report.working_set_sizes == [40, 128]
+    assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+    assert report.f == pytest.approx(full.f, rel=1e-6)
+    # The start's adjoint, the lift's, and one per iteration of the full
+    # solve at least.
+    assert report.adjoint_products > 2 + report.pg_steps // 2
+    assert report.column_reads >= 40
+
+
+def test_outer_iteration_limit_is_spent_across_rounds(monkeypatch):
+    # The budget lets the first round finish and the second take two
+    # steps: the solve ends `iter_limit` after both, with the gap of a
+    # full certificate.
+    _outer_on(monkeypatch, 16)
+    p = gen_instance(GeneratorSpec(m=64, n=256, k=8), 3).problem()
+    spied = []  # the iterations of each round
+
+    def solve_spy(problem, it, oracle, options, max_iter, hybrid, warm):
+        report = inner(problem, it, oracle, options, max_iter, hybrid, warm)
+        spied.append(report.iterations)
+        return report
+
+    inner = solver_module._solve
+    monkeypatch.setattr(solver_module, "_solve", solve_spy)
+    assert len(hybrid_solve(p).working_set_sizes) > 1
+    budget = spied[0] + 2
+    spied.clear()
+    cut = hybrid_solve(p, options=SolverOptions(max_iter=budget))
+    assert cut.status == STATUS_ITER_LIMIT
+    assert cut.iterations == budget == sum(spied)
+    assert len(cut.working_set_sizes) == 2
+    # The gap is a full certificate's: it bounds f - f* for the optimum
+    # of all 256 columns, also after the first round alone, whose own
+    # problem it solved to opt_tol.
+    f_star = spg_solve(p, options=SolverOptions(opt_tol=1e-10)).f
+    assert 0 < cut.f - f_star <= cut.gap * gap_scale(cut.f) < np.inf
+    first = hybrid_solve(p, options=SolverOptions(max_iter=spied[0]))
+    assert first.status == STATUS_ITER_LIMIT
+    assert len(first.working_set_sizes) == 1 and first.gap > 1e-6
+    assert 0 < first.f - f_star <= first.gap * gap_scale(first.f)
+
+
+def test_outer_start_keeps_the_support_of_x0(monkeypatch):
+    # x0's support lies off the largest |g|/w entries; W0 keeps it, and
+    # the solve is certified on all n columns from there.
+    _outer_on(monkeypatch, 16)
+    p = gen_instance(GeneratorSpec(m=64, n=256, k=8), 3).problem()
+    g = np.abs(evaluate(p, np.zeros(256)).g)
+    low = np.argsort(g)[:3]
+    x0 = np.zeros(256)
+    x0[low] = 0.1 * p.tau
+    w = solver_module._first_working_set(p, evaluate(p, x0))
+    assert set(low) <= set(w.tolist()) and len(w) <= 16 + 3
+    f_star = spg_solve(p, options=SolverOptions(opt_tol=1e-12)).f
+    for solve in (spg_solve, hybrid_solve):
+        report = solve(p, x0)
+        assert report.working_set_sizes[0] == len(w)
+        assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+        # The gap bounds f - f* on all n columns.
+        assert report.f - f_star <= report.gap * gap_scale(report.f)
+
+
+def test_outer_trace_and_warm_pairs_are_in_full_coordinates(monkeypatch):
+    # Gaussian 64x256 from W0 of 16 columns, in two rounds or more: every
+    # trace support indexes the full problem, the last is the reported
+    # point's support, and each carried pair has length n, with s and y
+    # zero off the final working set and y = A'A s on the final support.
+    _outer_on(monkeypatch, 16)
+    p = gen_instance(GeneratorSpec(m=64, n=256, k=8), 3).problem()
+    report = hybrid_solve(p, options=SolverOptions(trace=True))
+    sizes = report.working_set_sizes
+    assert report.status == STATUS_OPTIMAL and len(sizes) > 1
+    assert sizes[-1] <= 128
+    assert [t.step_kind for t in report.trace].count("init") == len(sizes)
+    iterations = [t.iteration for t in report.trace]
+    assert iterations == sorted(iterations) and iterations[-1] == \
+        report.iterations
+    supports = [t.support for t in report.trace if t.support is not None]
+    assert supports and all(np.all(np.diff(s) > 0) and s[-1] < 256
+                            for s in supports)
+    assert np.array_equal(supports[-1], np.flatnonzero(report.x))
+    assert report.warm.pairs
+    on = np.flatnonzero(report.x)
+    a = p.op.a
+    used = np.zeros(256, dtype=bool)
+    for s, y in report.warm.pairs:
+        assert len(s) == len(y) == 256
+        assert not (s.flags.writeable or y.flags.writeable)
+        used |= (s != 0) | (y != 0)
+        hs = a.T @ (a @ s)
+        assert np.linalg.norm(y[on] - hs[on]) <= 1e-9 * np.linalg.norm(hs[on])
+    assert used.sum() <= sizes[-1]
+
+
+def test_outer_set_runs_only_on_large_problems_with_columns(monkeypatch):
+    # Unpatched: Gaussian 256x1024 (2^18 entries) keeps the full path, and
+    # 1024x1024 (2^20) runs the outer set, from W0 of 128 columns, and is
+    # certified on all columns.  An operator without a column callable
+    # keeps the full path at any size.
+    calls = []
+
+    def spy(problem, *rest):
+        calls.append(problem.shape)
+        return outer(problem, *rest)
+
+    outer = solver_module._outer_solve
+    monkeypatch.setattr(solver_module, "_outer_solve", spy)
+    small = gen_instance(GeneratorSpec(m=256, n=1024, k=20), 5).problem()
+    assert hybrid_solve(small).working_set_sizes == [] and calls == []
+    large = gen_instance(GeneratorSpec(m=1024, n=1024, k=20), 5).problem()
+    for solve in (spg_solve, hybrid_solve):
+        report = solve(large)
+        assert report.working_set_sizes[0] == 128
+        assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+    assert calls == [(1024, 1024)] * 2
+    a = large.op.a
+    plain = LassoProblem(op=LinearOperator(a.shape, lambda x: a @ x,
+                                           lambda y: a.T @ y),
+                         b=large.b, tau=large.tau)
+    assert spg_solve(plain).working_set_sizes == [] and len(calls) == 2
