@@ -68,11 +68,13 @@ dual point y = -r to all n columns, lam = max over i of
 |A_i'y - c_i|/w_i: the solve stops when that full gap meets opt_tol, and
 otherwise W gains up to |W| of the columns with |g_i|/w_i above the
 round's multiplier.  When the next W would hold more than n/2 columns, or
-no column violates, the full solve finishes from the round's point.  The
-report holds the best point with the full gap and multiplier, counts
-summed over the rounds (max_iter bounds their sum), |W| per round in
-`working_set_sizes` (a last entry n is that full solve), and trace
-supports and warm pairs in full coordinates, zero off W.  Below the size
+no column violates, or no certificate of the round was finite, the full
+solve finishes from the round's point.  Every round and that full solve
+add into one tally against one max_iter: counts, |W| per round in
+`working_set_sizes` (a last entry n is that full solve), and trace records
+whose supports are mapped to full coordinates as they are recorded.
+Between rounds the WarmStart is in full coordinates, zero off W.  The
+report holds the best point with the full gap and multiplier.  Below the size
 rule the rounds' restarts cost more than the products they save: on
 sphere-walk 128x256 and 256x512 the outer set took 1.4x and 1.05x the
 full path's time.
@@ -134,7 +136,6 @@ from .model import (
     LinearOperator,
     SolverOptions,
     evaluate,
-    objective_value,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -200,7 +201,12 @@ def _read_only(v: NDArray) -> NDArray:
 
 @dataclass
 class SolverReport:
-    """The best point seen (x, r and f come from it) with the best dual bound."""
+    """The best point seen (x, r and f come from it) with the best dual bound.
+
+    `gap` pairs the best point's f with the best dual bound, which may come
+    from another point (on an outer solve, a round's lifted dual point), so
+    a gap recomputed from x alone can read above opt_tol where `gap` meets it.
+    """
 
     x: NDArray
     r: NDArray  # residual A x - b at x
@@ -218,17 +224,34 @@ class SolverReport:
     # The sum of |S| or |W| over the products formed on gathered columns:
     # a face phase's A_S, an outer round's A_W.
     column_work: int
-    # Set by the entry point: time and the products formed through op.
-    time_sec: float = 0.0
-    forward_products: int = 0  # products A x the solve formed
-    adjoint_products: int = 0  # products A'y the solve formed
-    column_reads: int = 0  # columns of A the solve read through op.column
-    working_set_sizes: list[int] = field(default_factory=list)  # |W| per round
-    trace: list[TraceRecord] = field(default_factory=list)
+    time_sec: float
+    forward_products: int  # products A x the solve formed
+    adjoint_products: int  # products A'y the solve formed
+    column_reads: int  # columns of A the solve read through op.column
+    working_set_sizes: list[int]  # |W| per outer round
+    trace: list[TraceRecord]
 
     @property
     def face_phases(self) -> int:
         return sum(self.phase_ends.values())
+
+
+@dataclass
+class _Tally:
+    """What every _solve call of one solve did, added up against max_iter:
+    the full path's call, or an outer solve's rounds and full finish."""
+
+    max_iter: int
+    iterations: int = 0
+    qn_steps: int = 0
+    pg_steps: int = 0
+    phase_ends: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(PHASE_ENDS, 0))
+    pairs_rejected: int = 0
+    warm_pairs: int | None = None  # set by the first call
+    column_work: int = 0
+    working_set_sizes: list[int] = field(default_factory=list)
+    trace: list[TraceRecord] = field(default_factory=list)
 
 
 class LbfgsModel:
@@ -315,13 +338,14 @@ def _run(problem: LassoProblem, x0: NDArray | None,
          warm: WarmStart | None) -> SolverReport:
     """Project and evaluate the start, solve on an outer working set when
     `_first_working_set` gives one and on the full problem otherwise, and
-    count the solve's time and its products through op."""
+    report the best point with the tally, the solve's time and its products
+    through op."""
     start = time.perf_counter()
     op = problem.op
     fwd0, adj0, col0 = op.forward_products, op.adjoint_products, op.column_reads
     options = options or SolverOptions()
     m, n = problem.shape
-    max_iter = options.max_iter if options.max_iter is not None else 10 * m
+    tally = _Tally(options.max_iter if options.max_iter is not None else 10 * m)
     if x0 is None:
         x0 = np.zeros(n)
     x, _ = project(np.asarray(x0, dtype=float), problem.ball_w, problem.tau)
@@ -329,51 +353,64 @@ def _run(problem: LassoProblem, x0: NDArray | None,
     oracle = StoppingOracle(problem, options.opt_tol)
     w = _first_working_set(problem, it)
     if w is None:
-        report = _solve(problem, it, oracle, options, max_iter, hybrid, warm)
+        status, warm = _solve(problem, it, oracle, options, hybrid, warm, tally)
     else:
-        report = _outer_solve(problem, it, w, oracle, options, max_iter,
-                              hybrid, warm)
-    report.time_sec = time.perf_counter() - start
-    report.forward_products = op.forward_products - fwd0
-    report.adjoint_products = op.adjoint_products - adj0
-    report.column_reads = op.column_reads - col0
-    return report
+        status, warm = _outer_solve(problem, it, w, oracle, options, hybrid,
+                                    warm, tally)
+    # The best point, whose f the gap reads, or the start when no f was finite.
+    best = _exact(oracle.best if math.isfinite(it.f) else it)
+    return SolverReport(
+        x=best.x, r=best.r, f=best.f, gap=oracle.gap, lam=oracle.lambda_best,
+        status=status, iterations=tally.iterations, qn_steps=tally.qn_steps,
+        pg_steps=tally.pg_steps, phase_ends=tally.phase_ends,
+        pairs_rejected=tally.pairs_rejected, warm_pairs=tally.warm_pairs,
+        warm=warm, column_work=tally.column_work,
+        time_sec=time.perf_counter() - start,
+        forward_products=op.forward_products - fwd0,
+        adjoint_products=op.adjoint_products - adj0,
+        column_reads=op.column_reads - col0,
+        working_set_sizes=tally.working_set_sizes, trace=tally.trace)
+
+
+def _exact(it: Iterate) -> Iterate:
+    """it, or when its residual was updated and drifts from x by rounding,
+    the point at x with its exact r and f: one forward product."""
+    return it if it.r_exact else evaluate(it.problem, it.x)
 
 
 def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
-           options: SolverOptions, max_iter: int, hybrid: bool,
-           warm: WarmStart | None) -> SolverReport:
-    """The full solve from the evaluated start it, a point of the ball;
-    oracle stops it at its own tolerance."""
+           options: SolverOptions, hybrid: bool, warm: WarmStart | None,
+           tally: _Tally, w: NDArray | None = None) -> tuple[str, WarmStart]:
+    """Solve from the evaluated start it, a point of the ball, adding what
+    it does into the tally, until oracle stops it at its own tolerance or
+    the tally reaches max_iter; return the status and the WarmStart.  w
+    maps the problem's columns to the full problem's for trace supports,
+    None on the full problem."""
     n = problem.shape[1]
     history: deque[float] = deque([it.f], maxlen=HISTORY_LEN)
-    trace: list[TraceRecord] = []
-    qn_steps = pg_steps = 0
     status = STATUS_ITER_LIMIT
 
-    def record(i: int, kind: str, gap: float) -> None:
+    def record(kind: str, gap: float) -> None:
         if options.trace:
             face = it.face
-            trace.append(TraceRecord(
-                iteration=i, f=it.f, gap=gap, step_kind=kind,
-                face_dim=None if face is None or face.kind == "interior"
-                else face.dim,
-                support=None if face is None or face.kind == "interior"
-                else face.support,
+            on_face = face is not None and face.kind != "interior"
+            tally.trace.append(TraceRecord(
+                iteration=tally.iterations, f=it.f, gap=gap, step_kind=kind,
+                face_dim=face.dim if on_face else None,
+                support=None if not on_face else (
+                    face.support if w is None else np.sort(w[face.support])),
             ))
 
     # The face phase's model and working set, None between phases, and the
     # (s, y) of the last phase's last steps.
     model = ws = None
     memory = deque(maxlen=MEMORY)
-    rejected = warm_pairs = 0  # pairs the curvature check turned away / kept
-    column_work = 0
+    warm_pairs = 0  # carried pairs the first model kept
     largest = 0.0  # the largest decrease of a step in this face phase
-    phase_ends = dict.fromkeys(PHASE_ENDS, 0)
     finite = math.isfinite(it.f)  # else no step can be tested against f
     done = finite and oracle.update(it)
     gap = oracle.gap  # the gap the last stall or stop test read
-    record(0, "init", gap)
+    record("init", gap)
     # A carried step outside the clamps falls back to the cold one.
     alpha_bb = (warm.alpha_bb if warm is not None
                 and ALPHA_MIN <= warm.alpha_bb <= ALPHA_MAX else _initial_bb(it.g))
@@ -383,13 +420,14 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
         model = _face_model(problem, it.face, warm.h0)
         if model is not None:
             warm_pairs = sum(model.update(s, y) for s, y in memory)
-            rejected = len(memory) - warm_pairs
+            tally.pairs_rejected += len(memory) - warm_pairs
             ws = _working_set(problem, it, model, None)
+    if tally.warm_pairs is None:
+        tally.warm_pairs = warm_pairs
 
-    iteration = 0
     reopen = False  # a working-set phase has just stalled
-    while finite and not done and iteration < max_iter:
-        iteration += 1
+    while finite and not done and tally.iterations < tally.max_iter:
+        tally.iterations += 1
         prev = it
         kind = "pg"
 
@@ -397,16 +435,16 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
             gap_before = gap
             res, bound = _face_step(problem, it, model, ws)
             if ws is not None:
-                column_work += len(ws.support)  # A_S d_S
+                tally.column_work += len(ws.support)  # A_S d_S
             if res.status == "accepted":
                 it = res.iterate
                 history.clear()
                 history.append(it.f)
-                qn_steps += 1
+                tally.qn_steps += 1
                 kind = "qn"
             else:
                 model = ws = None
-                phase_ends["no_descent"] += 1
+                tally.phase_ends["no_descent"] += 1
 
         if kind == "pg":
             res = _pg_search(problem, it, alpha_bb, max(history), options)
@@ -421,7 +459,7 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
                 done = oracle.update(it)
                 gap = oracle.gap
                 reopen, largest = False, 0.0
-                record(iteration, "pg", gap)
+                record("pg", gap)
                 continue
             reopen = False
             if res.status != "accepted":
@@ -431,7 +469,7 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
                 break
             it = res.iterate
             history.append(it.f)
-            pg_steps += 1
+            tally.pg_steps += 1
 
         s = it.x - prev.x
         if ws is None:
@@ -441,7 +479,7 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
         else:
             # The change in the S gradient: exact on S, zero off it.
             g = ws.gradient(it)
-            column_work += len(ws.support)  # A_S'r
+            tally.column_work += len(ws.support)  # A_S'r
             y, ws.g = g - ws.g, g
             gap = oracle.face_gap(it, g)
             if gap <= options.opt_tol:
@@ -449,9 +487,9 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
                 gap = oracle.gap
                 if not done:
                     model = ws = None
-                    phase_ends["off_face"] += 1
+                    tally.phase_ends["off_face"] += 1
         alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
-        record(iteration, kind, gap)
+        record(kind, gap)
         if not hybrid or done:
             continue
         if kind == "pg":
@@ -459,7 +497,7 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
                 model = _face_model(problem, it.face, alpha_bb)
                 if model is not None:
                     memory = deque([(s, y)], maxlen=MEMORY)
-                    rejected += not model.update(s, y)
+                    tally.pairs_rejected += not model.update(s, y)
                     largest = 0.0
                     ws = _working_set(problem, it, model, None)
             continue
@@ -471,7 +509,7 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
         if drop <= STALL_RATIO * largest and gap > STALL_GAP_SHRINK * gap_before:
             reopen = ws is not None
             model = ws = None
-            phase_ends["stall" if drop > 0 else "no_descent"] += 1
+            tally.phase_ends["stall" if drop > 0 else "no_descent"] += 1
         elif res.alpha == bound or (model.basis is None
                                     and it.face.kind != "interior"):
             # Capped, or an interior step that stopped within the
@@ -480,11 +518,11 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
             model = _face_model(problem, it.face, model.h0)
             if model is None:
                 ws = None
-                phase_ends["edge"] += 1
+                tally.phase_ends["edge"] += 1
             else:
                 ws = _working_set(problem, it, model, ws)
         else:
-            rejected += not model.update(s, y)
+            tally.pairs_rejected += not model.update(s, y)
 
     if finite and not done:
         # A working-set step reads its iterate's full certificate only when
@@ -494,28 +532,15 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
         # gradient.  It may yet certify the iterate.
         done = oracle.update(it)
     if status == STATUS_LINESEARCH_FAILURE:
-        record(iteration, "pg", oracle.gap)
+        record("pg", oracle.gap)
     if done:
         status = STATUS_OPTIMAL
     elif not finite:
         status = STATUS_NON_FINITE
     if model is not None:
-        phase_ends["solve_end"] += 1
-    # Report the best point, whose f the gap reads, or the start when no f
-    # was finite.  An updated residual drifts by rounding, so then report
-    # the exact f and r at its x.
-    best = oracle.best if finite else it
-    f, r = (best.f, best.r) if best.r_exact else objective_value(problem, best.x)
-    return SolverReport(
-        x=best.x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
-        status=status, iterations=iteration, qn_steps=qn_steps,
-        pg_steps=pg_steps, phase_ends=phase_ends, pairs_rejected=rejected,
-        warm_pairs=warm_pairs, trace=trace, warm=WarmStart(
-            alpha_bb, model.h0 if model else alpha_bb,
-            tuple((_read_only(s), _read_only(y))
-                  for s, y in memory if float(s @ y) > 0)),
-        column_work=column_work,
-    )
+        tally.phase_ends["solve_end"] += 1
+    return status, WarmStart(alpha_bb, model.h0 if model else alpha_bb, tuple(
+        (_read_only(s), _read_only(y)) for s, y in memory if float(s @ y) > 0))
 
 
 def _first_working_set(problem: LassoProblem, it: Iterate) -> NDArray | None:
@@ -538,68 +563,61 @@ def _first_working_set(problem: LassoProblem, it: Iterate) -> NDArray | None:
 
 
 def _outer_solve(problem: LassoProblem, it: Iterate, w: NDArray,
-                 oracle: StoppingOracle, options: SolverOptions, max_iter: int,
-                 hybrid: bool, warm: WarmStart | None) -> SolverReport:
+                 oracle: StoppingOracle, options: SolverOptions, hybrid: bool,
+                 warm: WarmStart | None, tally: _Tally) -> tuple[str, WarmStart]:
     """Solve on working sets W, from w, certified on all n columns.
 
     Each round solves the problem restricted to the columns A_W, gathered
     once into an F-ordered copy, to opt_tol, from the last round's best
-    point and WarmStart.  Its inner best point is the full problem's
-    candidate, and one full adjoint lifts the inner oracle's best dual point
-    y = -r: lam = max over all i of |A_i'y - c_i|/w_i.  The solve stops
-    when that full gap meets opt_tol; otherwise W gains up to |W| columns
-    with |g_i|/w_i above the inner multiplier, the largest ones.  With no
-    such column the full certificate is the inner one, to rounding, so the
-    inner tolerance needs no margin.  When none does all the same, or W
-    would pass n/2 columns, the full solve finishes from the round's point.
+    point and WarmStart, restricted to W.  Its inner best point, made
+    exact, is the full problem's candidate, and one full adjoint lifts the
+    inner oracle's best dual point y = -r: lam = max over all i of
+    |A_i'y - c_i|/w_i.  The solve stops when that full gap meets opt_tol;
+    otherwise W gains up to |W| columns with |g_i|/w_i above the inner
+    multiplier, the largest ones.  With no such column the full certificate
+    is the inner one, to rounding, so the inner tolerance needs no margin.
+    When none does all the same, or W would pass n/2 columns, or the round
+    has no dual point (every certificate overflowed), the full solve
+    finishes from the round's point.
     """
     m, n = problem.shape
-    rounds: list[tuple[SolverReport, NDArray | None]] = []
+    if tally.max_iter == 0 or oracle.update(it):  # no round to run
+        return _solve(problem, it, oracle, options, hybrid, warm, tally)
     cols = np.empty((m, 0), order="F")
-    if max_iter == 0 or oracle.update(it):  # no round to run
-        return _solve(problem, it, oracle, options, max_iter, hybrid, warm)
-    carried = None if warm is None else replace(warm, pairs=tuple(
-        (s[w], y[w]) for s, y in warm.pairs if len(s) == len(y) == n))
-    spent = 0
-    status = STATUS_ITER_LIMIT
-    done = False
-    while spent < max_iter:
+    while tally.iterations < tally.max_iter:
         cols = _gather(problem.op, cols, w[cols.shape[1]:])
         sub = LassoProblem(op=DenseOperator(cols), b=problem.b,
                            tau=problem.tau, w=problem.w[w], mu=problem.mu,
                            c=problem.c[w])
         best = oracle.best  # zero off W, with an exact residual
         sub_oracle = StoppingOracle(sub, options.opt_tol)
-        report = _solve(sub, Iterate(x=best.x[w], r=best.r, f=best.f,
-                                     problem=sub),
-                        sub_oracle, options, max_iter - spent, hybrid, carried)
-        report.column_work += len(w) * (sub.op.forward_products
-                                        + sub.op.adjoint_products)
-        rounds.append((report, w))
-        spent += report.iterations
-        oracle.take(Iterate(x=_embed(report.x, w, n), r=report.r, f=report.f,
-                            problem=problem))
-        dual = sub_oracle.dual_point
-        lifted = Iterate(x=_embed(dual.x, w, n), r=dual.r, f=dual.f,
-                         problem=problem, r_exact=dual.r_exact)
-        done = oracle.bound(lifted)  # one full adjoint
-        if done or report.status == STATUS_ITER_LIMIT:
+        tally.working_set_sizes.append(len(w))
+        if warm is not None:  # held in full coordinates: restrict it to W
+            warm = replace(warm, pairs=tuple(
+                (s[w], y[w]) for s, y in warm.pairs if len(s) == len(y) == n))
+        status, warm = _solve(
+            sub, Iterate(x=best.x[w], r=best.r, f=best.f, problem=sub),
+            sub_oracle, options, hybrid, warm, tally, w)
+        warm = replace(warm, pairs=tuple(
+            (_read_only(_embed(s, w, n)), _read_only(_embed(y, w, n)))
+            for s, y in warm.pairs))
+        best = _exact(sub_oracle.best)  # its product is on A_W: count it
+        tally.column_work += len(w) * (sub.op.forward_products
+                                       + sub.op.adjoint_products)
+        oracle.take(_lift(best, w, problem))
+        dual = sub_oracle.dual_point  # None when no certificate was finite
+        dual = None if dual is None else _lift(dual, w, problem)
+        done = dual is not None and oracle.bound(dual)  # one full adjoint
+        if done or status == STATUS_ITER_LIMIT:
             break
-        grow = _violators(problem, lifted.g, w, sub_oracle.lambda_best)
+        grow = [] if dual is None else _violators(problem, dual.g, w,
+                                                  sub_oracle.lambda_best)
         if not len(grow) or 2 * (len(w) + len(grow)) > n:
-            report = _solve(problem, oracle.best, oracle, options,
-                            max_iter - spent, hybrid,
-                            _lifted_warm(report.warm, w, n))
-            rounds.append((report, None))
-            status = report.status
-            break
+            tally.working_set_sizes.append(n)
+            return _solve(problem, oracle.best, oracle, options, hybrid, warm,
+                          tally)
         w = np.concatenate([w, grow])
-        carried = replace(report.warm, pairs=tuple(
-            (np.pad(s, (0, len(grow))), np.pad(y, (0, len(grow))))
-            for s, y in report.warm.pairs))
-    if done:
-        status = STATUS_OPTIMAL
-    return _merge_rounds(problem, oracle, status, rounds)
+    return STATUS_OPTIMAL if done else STATUS_ITER_LIMIT, warm
 
 
 def _gather(op: LinearOperator, cols: NDArray, new: NDArray) -> NDArray:
@@ -629,48 +647,10 @@ def _violators(problem: LassoProblem, g: NDArray, w: NDArray,
     return grow
 
 
-def _lifted_warm(warm: WarmStart, w: NDArray, n: int) -> WarmStart:
-    """warm in the full problem's coordinates: its pairs zero off w."""
-    return replace(warm, pairs=tuple(
-        (_read_only(_embed(s, w, n)), _read_only(_embed(y, w, n)))
-        for s, y in warm.pairs))
-
-
-def _merge_rounds(problem: LassoProblem, oracle: StoppingOracle, status: str,
-                  rounds: list[tuple[SolverReport, NDArray | None]]) -> SolverReport:
-    """One report for the outer solve: x, r and f from the best point, the
-    gap and multiplier of the full problem, counts summed over the rounds
-    (W None marks the full solve that finished), and trace supports and
-    warm pairs in full coordinates."""
-    n = problem.shape[1]
-    best = oracle.best
-    x, r, f = best.x, best.r, best.f  # the start or a round's exact point
-    trace: list[TraceRecord] = []
-    phase_ends = dict.fromkeys(PHASE_ENDS, 0)
-    iterations = 0
-    for report, w in rounds:
-        for rec in report.trace:
-            trace.append(replace(
-                rec, iteration=rec.iteration + iterations,
-                support=rec.support if rec.support is None or w is None
-                else np.sort(w[rec.support])))
-        iterations += report.iterations
-        for end, count in report.phase_ends.items():
-            phase_ends[end] += count
-        warm = report.warm if w is None else _lifted_warm(report.warm, w, n)
-        if w is None:
-            x, r, f = report.x, report.r, report.f
-    return SolverReport(
-        x=x, r=r, f=f, gap=oracle.gap, lam=oracle.lambda_best,
-        status=status, iterations=iterations,
-        qn_steps=sum(rep.qn_steps for rep, _ in rounds),
-        pg_steps=sum(rep.pg_steps for rep, _ in rounds),
-        phase_ends=phase_ends,
-        pairs_rejected=sum(rep.pairs_rejected for rep, _ in rounds),
-        warm_pairs=rounds[0][0].warm_pairs, warm=warm,
-        column_work=sum(rep.column_work for rep, _ in rounds),
-        working_set_sizes=[n if w is None else len(w) for _, w in rounds],
-        trace=trace)
+def _lift(it: Iterate, w: NDArray, problem: LassoProblem) -> Iterate:
+    """The point of problem holding it.x at the entries w, zero elsewhere."""
+    return Iterate(x=_embed(it.x, w, problem.shape[1]), r=it.r, f=it.f,
+                   problem=problem, r_exact=it.r_exact)
 
 
 def _face_model(problem: LassoProblem, face: FaceId | None,

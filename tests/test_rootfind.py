@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lassokit import rootfind
+from lassokit import solver as solver_module
 from lassokit.ball import weighted_l1_norm
 from lassokit.duality import gap_scale
 from lassokit.model import DenseOperator, LassoProblem, LinearOperator, SolverOptions
@@ -319,3 +320,25 @@ def test_norm_is_the_plain_norm_unless_that_overflows():
         assert rootfind._norm(v) == float(np.linalg.norm(v))
     assert rootfind._norm(np.array([3e200, 4e200])) == pytest.approx(5e200)
     assert rootfind._norm(np.array([np.inf, 1.0])) == np.inf
+
+
+@pytest.mark.parametrize("solver", ["spg", "hybrid"])
+def test_root_runs_through_the_outer_working_set(monkeypatch, solver):
+    # Gaussian 64x256 with every subproblem on the outer working set, from
+    # W0 of 16 columns: each run converges to the full path's misfit within
+    # the root tolerance, every subproblem after the radius-zero point runs
+    # rounds, and the hybrid's subproblems start from carried pairs.
+    for seed in (1, 2, 3):
+        inst = gen_instance(GeneratorSpec(m=64, n=256, k=8), seed)
+        full = solve_bpdn(inst.problem(), inst.sigma, solver=solver)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "OUTER_MIN_ENTRIES", 0)
+            patch.setattr(solver_module, "OUTER_START", 16)
+            report = solve_bpdn(inst.problem(), inst.sigma, solver=solver)
+        assert full.status == report.status == STATUS_CONVERGED
+        assert full.path[-1].working_set_sizes == []
+        assert abs(report.misfit - full.misfit) <= rootfind.ROOT_TOL * inst.sigma
+        assert report.path[0].tau == 0.0
+        assert all(s.working_set_sizes for s in report.path[1:])
+        assert (solver == "hybrid") == any(s.warm_pairs > 0
+                                           for s in report.path)

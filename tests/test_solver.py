@@ -1148,31 +1148,30 @@ def test_outer_solve_finishes_on_the_full_problem_above_half(monkeypatch):
 def test_outer_iteration_limit_is_spent_across_rounds(monkeypatch):
     # The budget lets the first round finish and the second take two
     # steps: the solve ends `iter_limit` after both, with the gap of a
-    # full certificate.
+    # full certificate.  Each round's iterations are read off the trace:
+    # an "init" record opens every round.
     _outer_on(monkeypatch, 16)
     p = gen_instance(GeneratorSpec(m=64, n=256, k=8), 3).problem()
-    spied = []  # the iterations of each round
 
-    def solve_spy(problem, it, oracle, options, max_iter, hybrid, warm):
-        report = inner(problem, it, oracle, options, max_iter, hybrid, warm)
-        spied.append(report.iterations)
-        return report
+    def round_iterations(report):
+        starts = [t.iteration for t in report.trace if t.step_kind == "init"]
+        return np.diff(starts + [report.iterations]).tolist()
 
-    inner = solver_module._solve
-    monkeypatch.setattr(solver_module, "_solve", solve_spy)
-    assert len(hybrid_solve(p).working_set_sizes) > 1
-    budget = spied[0] + 2
-    spied.clear()
-    cut = hybrid_solve(p, options=SolverOptions(max_iter=budget))
+    full = hybrid_solve(p, options=SolverOptions(trace=True))
+    assert len(full.working_set_sizes) > 1
+    rounds = round_iterations(full)
+    budget = rounds[0] + 2
+    cut = hybrid_solve(p, options=SolverOptions(max_iter=budget, trace=True))
+    rounds = round_iterations(cut)
     assert cut.status == STATUS_ITER_LIMIT
-    assert cut.iterations == budget == sum(spied)
-    assert len(cut.working_set_sizes) == 2
+    assert cut.iterations == budget == sum(rounds)
+    assert len(cut.working_set_sizes) == 2 and rounds[1] == 2
     # The gap is a full certificate's: it bounds f - f* for the optimum
     # of all 256 columns, also after the first round alone, whose own
     # problem it solved to opt_tol.
     f_star = spg_solve(p, options=SolverOptions(opt_tol=1e-10)).f
     assert 0 < cut.f - f_star <= cut.gap * gap_scale(cut.f) < np.inf
-    first = hybrid_solve(p, options=SolverOptions(max_iter=spied[0]))
+    first = hybrid_solve(p, options=SolverOptions(max_iter=rounds[0]))
     assert first.status == STATUS_ITER_LIMIT
     assert len(first.working_set_sizes) == 1 and first.gap > 1e-6
     assert 0 < first.f - f_star <= first.gap * gap_scale(first.f)
@@ -1256,3 +1255,23 @@ def test_outer_set_runs_only_on_large_problems_with_columns(monkeypatch):
                                            lambda y: a.T @ y),
                          b=large.b, tau=large.tau)
     assert spg_solve(plain).working_set_sizes == [] and len(calls) == 2
+
+
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_outer_solve_without_a_finite_certificate_ends_as_the_full_path(
+        monkeypatch, solve):
+    # A = |N(0,1)|*1e307 makes A'r overflow, so every certificate's
+    # objective is -inf and no round holds a dual bound.  The outer solve
+    # then finishes on the full problem and returns what the full path
+    # returns: its status, point and infinite gap.  (inf - inf also warns.)
+    a = np.abs(np.random.default_rng(0).normal(size=(64, 128))) * 1e307
+    p = LassoProblem(op=DenseOperator(a), b=np.ones(64), tau=1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.warns(RuntimeWarning, match="invalid value"):
+        full = solve(p)
+        _outer_on(monkeypatch, 16)
+        report = solve(p)
+    assert full.status == report.status == STATUS_LINESEARCH_FAILURE
+    assert full.gap == report.gap == np.inf
+    assert report.working_set_sizes == [16, 128]
+    assert report.x.tobytes() == full.x.tobytes() and report.f == full.f
