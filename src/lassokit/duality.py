@@ -8,10 +8,7 @@ instead be optimized exactly with the ball's threshold kernel, which always
 dominates the certificate read off the augmented residual.
 
 Every certificate reads A'y from the iterate's gradient g = A'r + c + mu*x,
-so checking the gap costs no operator product.  A certificate read from a
-gradient that is exact on a face's support S and zero elsewhere ignores the
-entries off S: it bounds no dual, but its gap is never above the full one,
-so it tells a face phase when the full gradient is worth forming.
+so checking the gap costs no operator product.
 
 The oracle keeps the iterate of its best bound, whose residual any larger
 problem with the same b can read as a dual point: an outer working-set
@@ -44,16 +41,15 @@ class DualCertificate:
     objective: float
 
 
-def certificate_augmented(problem: LassoProblem, iterate: Iterate,
-                          g: NDArray | None = None) -> DualCertificate:
+def certificate_augmented(problem: LassoProblem,
+                          iterate: Iterate) -> DualCertificate:
     """Multiplier read off the residual of the stacked (A; sqrt(mu) I) system.
 
     The dual point is y = -r, with A'y - mu*x - c = -g.  Negating a vector
-    negates its dot products exactly, so r and g are read as they are.  g
-    is the iterate's gradient unless given.
+    negates its dot products exactly, so r and g are read as they are.
     """
     r = iterate.r
-    lam = dual_weighted_inf_norm(iterate.g if g is None else g, problem.ball_w)
+    lam = dual_weighted_inf_norm(iterate.g, problem.ball_w)
     obj = -float(r @ problem.b) - problem.tau * lam - 0.5 * float(r @ r)
     if problem.mu > 0:
         obj -= 0.5 * problem.mu * float(iterate.x @ iterate.x)
@@ -73,12 +69,11 @@ def optimal_dual_lambda(z: NDArray, w: NDArray | None, tau: float, mu: float) ->
     return threshold(z, w, mu * tau)
 
 
-def certificate_optimized(problem: LassoProblem, iterate: Iterate,
-                          g: NDArray | None = None) -> DualCertificate:
-    """The multiplier optimized for the dual point y = -r (mu > 0); g is the
-    iterate's gradient unless given."""
+def certificate_optimized(problem: LassoProblem,
+                          iterate: Iterate) -> DualCertificate:
+    """The multiplier optimized for the dual point y = -r (mu > 0)."""
     r, w = iterate.r, problem.ball_w
-    z = np.abs((iterate.g if g is None else g) - problem.mu * iterate.x)  # |A'y - c|
+    z = np.abs(iterate.g - problem.mu * iterate.x)  # |A'y - c|
     lam = optimal_dual_lambda(z, w, problem.tau, problem.mu)
     slack = np.maximum(z - lam if w is None else z - lam * w, 0.0)
     obj = (
@@ -90,16 +85,18 @@ def certificate_optimized(problem: LassoProblem, iterate: Iterate,
     return DualCertificate(lam, obj)
 
 
-def best_certificate(problem: LassoProblem, iterate: Iterate,
-                     g: NDArray | None = None) -> DualCertificate:
+def best_certificate(problem: LassoProblem, iterate: Iterate) -> DualCertificate:
     if problem.mu > 0:
-        return certificate_optimized(problem, iterate, g)
-    return certificate_augmented(problem, iterate, g)
+        return certificate_optimized(problem, iterate)
+    return certificate_augmented(problem, iterate)
 
 
 def gap_scale(f: float) -> float:
-    """Denominator of the relative gap: the absolute gap is relative * gap_scale(f)."""
-    return max(f, 1e-3)
+    """Denominator of the relative gap: the absolute gap is relative * gap_scale(f).
+
+    |f|, so an f that c'x drives far below zero asks for no gap below its
+    rounding."""
+    return max(abs(f), 1e-3)
 
 
 def relative_gap(f: float, dual_obj: float) -> float:
@@ -144,18 +141,6 @@ class StoppingOracle:
             self.dual_obj, self.lambda_best = cert.objective, cert.lam
             self.dual_point = iterate
         return self.gap <= self.opt_tol
-
-    def face_gap(self, iterate: Iterate, g_face: NDArray) -> float:
-        """Take the iterate as a candidate best point, and return the gap read
-        with the certificate of g_face: its gradient on a face's support,
-        zero elsewhere.
-
-        That certificate bounds no dual and is not kept, and the gap is
-        never above the one `update(iterate)` would leave.
-        """
-        self.take(iterate)
-        cert = best_certificate(self.problem, iterate, g_face)
-        return relative_gap(self.best.f, max(self.dual_obj, cert.objective))
 
     @property
     def gap(self) -> float:

@@ -26,34 +26,30 @@ the next iteration is a PG step, when
 - `stall`: the step lowers f by at most STALL_RATIO times the phase's
   largest decrease, and does not shrink the gap to STALL_GAP_SHRINK of its
   value;
-- `off_face`: the gap read on the face's support reaches the tolerance,
-  but the full gradient has an entry off the support that beats the face
-  (working-set phases only, below);
+- `off_face`: the gap of the phase's restricted problem reaches the
+  tolerance, but the full gradient has an entry off its columns that beats
+  the face (working-set phases only, below);
 - `solve_end`: the solve stops during the phase.
 
 The gap guard keeps a phase going near the optimum, where f changes only by
 rounding but each step still cuts the gap.
 
-A phase on a proper face whose support S holds at most n/2 entries runs on
-a working set, as Celer does for the Lasso (Massias, Gramfort & Salmon,
-ICML 2018), when the operator has a column callable (one without would pay
-a forward product per column).  The phase reads the columns A_S once, when
-it opens; a capped continuation onto a subface slices them and reads none.
-A face step forms A d as A_S d_S and its gradient on S as A_S'r + c_S +
-mu*x_S, so it pays no operator product.  The stall guard then reads the
-gap of the certificate formed from the gradient's entries on S, zero
-elsewhere, which is never above the full gap.  Once that gap reaches
-opt_tol the step forms its full gradient, one adjoint product, and the
-oracle decides on the full certificate: the solve stops, or the phase ends
-`off_face` and the next PG step reads that gradient.  The best iterate is
-taken on every step, so the solve stops only on a full certificate, and
-x, f and gap come from one point; a solve that ends after a working-set
-step reads that step's full certificate first.  The S gap moves with each
-iterate's certificate, where the full path's best gap only falls, so a
-working-set phase may stall where a full one would go on: when the PG step
-after such a stall cannot move, the face reopens once on the full path
-before the solve ends `linesearch_failure`.  The interior model, PG steps
-and spg keep their full products.
+A phase that opens on a proper face whose support S holds 2 to n/2
+entries runs on a working set, as Celer does for the Lasso (Massias,
+Gramfort & Salmon, ICML 2018), when the operator has a column callable (one
+without would pay a forward product per column); so does a full phase from
+the capped step that reaches such a face.  It gathers the columns A_S once
+and steps on the problem restricted to them, built as an outer round's is,
+from the point (x_S, r, f): A d and the gradient come from that problem's
+own operator, and a capped continuation stays on it.  Each step's point is
+lifted to all n entries for the oracle's best point, the history, the trace
+and the carried pairs.  The phase's own oracle on the restricted problem
+reads the stall and stop gap, never above the full gap.  Once that gap
+reaches opt_tol the step forms its full gradient, one adjoint product, and
+the oracle decides on the full certificate: the solve stops, or the phase
+ends `off_face`.  So the solve stops only on a full certificate, and x, f
+and gap come from one point.  `column_work` counts |S| per product on A_S.
+The interior model, PG steps and spg keep their full products.
 
 Both solvers run an outer working set around all of this, as Celer and
 Blitz do for the Lasso (Massias, Gramfort & Salmon, ICML 2018; Johnson &
@@ -81,7 +77,7 @@ full path's time.
 
 The phase keeps the pairs (s, y) of its last MEMORY steps, from the PG
 step that opened it on: y is the change in the gradient, or on a
-working-set step the change in its gradient on S, zero off S.  f is
+working-set step the change in the restricted gradient, zero off S.  f is
 quadratic and its Hessian A'A + mu*I does not depend on tau, so
 y = (A'A + mu*I)s holds at every radius, on S at least: on every face inside
 S, the one a solve that stops in the phase ends on among them.  A solve can
@@ -164,11 +160,11 @@ OUTER_START = 128
 @dataclass
 class TraceRecord:
     """One iteration's point.  `gap` is the one its stall and stop tests
-    read: on a working-set face step, the gap of the support's entries,
-    unless that reached opt_tol and the full gap was formed; in an outer
-    round, the gap of the round's restricted problem.  `support` is in the
-    problem's coordinates, and each outer round starts with an "init"
-    record."""
+    read: on a working-set face step, the gap of the phase's oracle on its
+    restricted problem, unless that reached opt_tol and the full gap was
+    formed; in an outer round, the gap of the round's restricted problem.
+    `support` is in the problem's coordinates, and each outer round starts
+    with an "init" record."""
 
     iteration: int
     f: float
@@ -184,8 +180,8 @@ class WarmStart:
 
     `alpha_bb` is its last Barzilai-Borwein step and `pairs` the (s, y) of
     its last face phase with s'y > 0, as read-only copies; y is zero off the
-    support of a working-set step.  `h0` is that of the model open when it
-    stopped, or `alpha_bb` when none was.
+    working set of a working-set step.  `h0` is that of the model open when
+    it stopped, or `alpha_bb` when none was.
     """
 
     alpha_bb: float
@@ -401,12 +397,37 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
                     face.support if w is None else np.sort(w[face.support])),
             ))
 
-    # The face phase's model and working set, None between phases, and the
-    # (s, y) of the last phase's last steps.
-    model = ws = None
+    # The face phase's model, None between phases, and the iterate its
+    # steps run from: it, or on a working set ws, the point of the problem
+    # restricted to A_ws, whose own oracle reads the phase's stall and stop
+    # gap.  `memory` holds the (s, y) of the last phase's last steps.
+    model = ws = phase_oracle = None
+    face_it = it
     memory = deque(maxlen=MEMORY)
-    warm_pairs = 0  # carried pairs the first model kept
     largest = 0.0  # the largest decrease of a step in this face phase
+
+    def open_phase(h0: float, pairs) -> int | None:
+        """Open a face phase at it whose model is seeded with pairs, in full
+        coordinates; the number of pairs it stored, None when the face is
+        not usable."""
+        nonlocal model, face_it, ws, phase_oracle
+        model, face_it, ws = _open_phase(problem, it, h0)
+        if model is None:
+            return None
+        if ws is not None:
+            phase_oracle = StoppingOracle(face_it.problem, options.opt_tol)
+            pairs = [(s[ws], y[ws]) for s, y in pairs]
+        stored = sum(model.update(s, y) for s, y in pairs)
+        tally.pairs_rejected += len(pairs) - stored
+        return stored
+
+    def end_phase(reason: str) -> None:
+        nonlocal model, ws
+        tally.phase_ends[reason] += 1
+        if ws is not None:
+            tally.column_work += _column_work(face_it.problem)
+        model = ws = None
+
     finite = math.isfinite(it.f)  # else no step can be tested against f
     done = finite and oracle.update(it)
     gap = oracle.gap  # the gap the last stall or stop test read
@@ -414,54 +435,34 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
     # A carried step outside the clamps falls back to the cold one.
     alpha_bb = (warm.alpha_bb if warm is not None
                 and ALPHA_MIN <= warm.alpha_bb <= ALPHA_MAX else _initial_bb(it.g))
+    warm_pairs = 0  # carried pairs the first model kept
     if hybrid and finite and warm is not None and warm.pairs and all(
             len(s) == len(y) == n for s, y in warm.pairs):
         memory.extend(warm.pairs)
-        model = _face_model(problem, it.face, warm.h0)
-        if model is not None:
-            warm_pairs = sum(model.update(s, y) for s, y in memory)
-            tally.pairs_rejected += len(memory) - warm_pairs
-            ws = _working_set(problem, it, model, None)
+        warm_pairs = open_phase(warm.h0, memory) or 0
     if tally.warm_pairs is None:
         tally.warm_pairs = warm_pairs
 
-    reopen = False  # a working-set phase has just stalled
     while finite and not done and tally.iterations < tally.max_iter:
         tally.iterations += 1
-        prev = it
+        prev, face_prev = it, face_it
         kind = "pg"
 
         if model is not None:
             gap_before = gap
-            res, bound = _face_step(problem, it, model, ws)
-            if ws is not None:
-                tally.column_work += len(ws.support)  # A_S d_S
+            res, bound = _face_step(face_it.problem, face_it, model)
             if res.status == "accepted":
-                it = res.iterate
+                face_it = res.iterate
+                it = face_it if ws is None else _lift(face_it, ws, problem)
                 history.clear()
                 history.append(it.f)
                 tally.qn_steps += 1
                 kind = "qn"
             else:
-                model = ws = None
-                tally.phase_ends["no_descent"] += 1
+                end_phase("no_descent")
 
         if kind == "pg":
             res = _pg_search(problem, it, alpha_bb, max(history), options)
-            if res.status != "accepted" and reopen and (
-                    model := _face_model(problem, it.face, alpha_bb)) is not None:
-                # The S gap that stalled the phase moves with each iterate's
-                # certificate, where the full path's best gap only falls.
-                # Reopen the face once on the full path, whose exact face
-                # steps can still cut the gap where a PG step cannot move.
-                # Its stall guard starts from the full gap, which the search
-                # has formed the gradient for.
-                done = oracle.update(it)
-                gap = oracle.gap
-                reopen, largest = False, 0.0
-                record("pg", gap)
-                continue
-            reopen = False
             if res.status != "accepted":
                 # Failed, or stationary: no move from an iterate the oracle
                 # rejects, so either way the run is stuck.
@@ -477,29 +478,25 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
             done = oracle.update(it)
             gap = oracle.gap
         else:
-            # The change in the S gradient: exact on S, zero off it.
-            g = ws.gradient(it)
-            tally.column_work += len(ws.support)  # A_S'r
-            y, ws.g = g - ws.g, g
-            gap = oracle.face_gap(it, g)
-            if gap <= options.opt_tol:
-                done = oracle.update(it)
+            # The change in the restricted gradient: exact on ws, zero off it.
+            dy = face_it.g - face_prev.g
+            y = _embed(dy, ws, n)
+            oracle.take(it)
+            if phase_oracle.update(face_it):  # the restricted gap meets opt_tol
+                done = oracle.bound(it)  # one full adjoint product
                 gap = oracle.gap
                 if not done:
-                    model = ws = None
-                    tally.phase_ends["off_face"] += 1
+                    end_phase("off_face")
+            else:
+                gap = phase_oracle.gap
         alpha_bb = bb_step(s, y, ALPHA_MIN, ALPHA_MAX)
         record(kind, gap)
         if not hybrid or done:
             continue
         if kind == "pg":
-            if prev.face == it.face:
-                model = _face_model(problem, it.face, alpha_bb)
-                if model is not None:
-                    memory = deque([(s, y)], maxlen=MEMORY)
-                    tally.pairs_rejected += not model.update(s, y)
-                    largest = 0.0
-                    ws = _working_set(problem, it, model, None)
+            if prev.face == it.face and open_phase(alpha_bb, [(s, y)]) is not None:
+                memory = deque([(s, y)], maxlen=MEMORY)
+                largest = 0.0
             continue
         memory.append((s, y))
         if model is None:  # ended off the face
@@ -507,28 +504,29 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
         drop = prev.f - it.f
         largest = max(largest, drop)
         if drop <= STALL_RATIO * largest and gap > STALL_GAP_SHRINK * gap_before:
-            reopen = ws is not None
-            model = ws = None
-            tally.phase_ends["stall" if drop > 0 else "no_descent"] += 1
+            end_phase("stall" if drop > 0 else "no_descent")
         elif res.alpha == bound or (model.basis is None
-                                    and it.face.kind != "interior"):
+                                    and face_it.face.kind != "interior"):
             # Capped, or an interior step that stopped within the
             # feasibility slack of the sphere, where the interior cap is no
-            # longer the sphere crossing.
-            model = _face_model(problem, it.face, model.h0)
-            if model is None:
-                ws = None
-                tally.phase_ends["edge"] += 1
+            # longer the sphere crossing.  A working-set phase goes on to
+            # the face reached on its own problem; a full one may open a
+            # working set there.
+            if ws is None:
+                open_phase(model.h0, [])
             else:
-                ws = _working_set(problem, it, model, ws)
+                model = _face_model(face_it.problem, face_it.face, model.h0)
+            if model is None:
+                end_phase("edge")
         else:
-            tally.pairs_rejected += not model.update(s, y)
+            tally.pairs_rejected += not (model.update(s, y) if ws is None
+                                         else model.update(s[ws], dy))
 
     if finite and not done:
         # A working-set step reads its iterate's full certificate only when
-        # its S gap reaches opt_tol.  Read the last iterate's once, so that
-        # the gap pairs the best f with a current dual bound: at most one
-        # adjoint product, none after a PG search, which formed the
+        # the restricted gap reaches opt_tol.  Read the last iterate's once,
+        # so that the gap pairs the best f with a current dual bound: at
+        # most one adjoint product, none after a PG search, which formed the
         # gradient.  It may yet certify the iterate.
         done = oracle.update(it)
     if status == STATUS_LINESEARCH_FAILURE:
@@ -537,9 +535,10 @@ def _solve(problem: LassoProblem, it: Iterate, oracle: StoppingOracle,
         status = STATUS_OPTIMAL
     elif not finite:
         status = STATUS_NON_FINITE
+    h0 = alpha_bb if model is None else model.h0
     if model is not None:
-        tally.phase_ends["solve_end"] += 1
-    return status, WarmStart(alpha_bb, model.h0 if model else alpha_bb, tuple(
+        end_phase("solve_end")
+    return status, WarmStart(alpha_bb, h0, tuple(
         (_read_only(s), _read_only(y)) for s, y in memory if float(s @ y) > 0))
 
 
@@ -586,9 +585,7 @@ def _outer_solve(problem: LassoProblem, it: Iterate, w: NDArray,
     cols = np.empty((m, 0), order="F")
     while tally.iterations < tally.max_iter:
         cols = _gather(problem.op, cols, w[cols.shape[1]:])
-        sub = LassoProblem(op=DenseOperator(cols), b=problem.b,
-                           tau=problem.tau, w=problem.w[w], mu=problem.mu,
-                           c=problem.c[w])
+        sub = _restricted(problem, cols, w)
         best = oracle.best  # zero off W, with an exact residual
         sub_oracle = StoppingOracle(sub, options.opt_tol)
         tally.working_set_sizes.append(len(w))
@@ -602,8 +599,7 @@ def _outer_solve(problem: LassoProblem, it: Iterate, w: NDArray,
             (_read_only(_embed(s, w, n)), _read_only(_embed(y, w, n)))
             for s, y in warm.pairs))
         best = _exact(sub_oracle.best)  # its product is on A_W: count it
-        tally.column_work += len(w) * (sub.op.forward_products
-                                       + sub.op.adjoint_products)
+        tally.column_work += _column_work(sub)
         oracle.take(_lift(best, w, problem))
         dual = sub_oracle.dual_point  # None when no certificate was finite
         dual = None if dual is None else _lift(dual, w, problem)
@@ -627,6 +623,18 @@ def _gather(op: LinearOperator, cols: NDArray, new: NDArray) -> NDArray:
     for j, i in enumerate(new.tolist(), cols.shape[1]):
         out[:, j] = op.column(i)
     return out
+
+
+def _restricted(problem: LassoProblem, cols: NDArray,
+                idx: NDArray) -> LassoProblem:
+    """problem restricted to its columns idx, gathered in cols."""
+    return LassoProblem(op=DenseOperator(cols), b=problem.b, tau=problem.tau,
+                        w=problem.w[idx], mu=problem.mu, c=problem.c[idx])
+
+
+def _column_work(sub: LassoProblem) -> int:
+    """The products formed on a restricted problem, times its columns."""
+    return sub.shape[1] * (sub.op.forward_products + sub.op.adjoint_products)
 
 
 def _embed(v: NDArray, w: NDArray, n: int) -> NDArray:
@@ -663,69 +671,38 @@ def _face_model(problem: LassoProblem, face: FaceId | None,
     return LbfgsModel(MEMORY, h0, basis)
 
 
-class _WorkingSet:
-    """A proper face's support S with its columns A_S, and `g`: the gradient
-    of the phase's current iterate on S, zero elsewhere."""
+def _open_phase(problem: LassoProblem, it: Iterate,
+                h0: float) -> tuple[LbfgsModel | None, Iterate, NDArray | None]:
+    """A fresh model on the face of it, with the iterate its steps run from
+    and its working set: the face's support S, or None on the full path.
 
-    def __init__(self, problem: LassoProblem, support: NDArray, g: NDArray):
-        self.problem, self.support = problem, support
-        self.cols = _gather(problem.op, np.empty((problem.shape[0], 0)), support)
-        self.g = np.zeros(problem.shape[1])
-        self.g[support] = g[support]
-
-    def restrict(self, support: NDArray) -> None:
-        """Move to a subface's support, reading no column."""
-        g = np.zeros(len(self.g))
-        g[support] = self.g[support]
-        keep = np.searchsorted(self.support, support)
-        self.support, self.cols, self.g = support, self.cols[:, keep], g
-
-    def gradient(self, it: Iterate) -> NDArray:
-        """A_S'r + c_S + mu*x_S at it, zero off S."""
-        p, sup = self.problem, self.support
-        gs = self.cols.T @ it.r
-        if not p.zero_c:
-            gs = gs + p.c[sup]
-        if p.mu > 0:
-            gs = gs + p.mu * it.x[sup]
-        g = np.zeros(p.shape[1])
-        g[sup] = gs
-        return g
-
-
-def _working_set(problem: LassoProblem, it: Iterate, model: LbfgsModel,
-                 ws: _WorkingSet | None) -> _WorkingSet | None:
-    """The working set for a new model at it.
-
-    None unless the model is on a proper face of at most n/2 support
-    entries and the operator reads columns.  Above n/2 a face step saves
-    less than half its products, and the full path was the faster one on
-    the sphere-walk faces measured there.  A model on a subface of ws's
-    face restricts ws; any other gathers A_S.
+    A proper face of 2 to n/2 support entries runs on a working set when
+    the operator reads columns: its columns A_S are gathered once, and the
+    phase runs on the problem restricted to them, from the point (x_S, r,
+    f).  Above n/2 a face step saves less than half its products, and the
+    full path was the faster one on the sphere-walk faces measured there.
     """
-    basis = model.basis
-    if (basis is None or not problem.op.reads_columns
-            or 2 * len(basis.support) > problem.shape[1]):
-        return None
-    if ws is None:
-        return _WorkingSet(problem, basis.support, it.g)
-    ws.restrict(basis.support)
-    return ws
+    m, n = problem.shape
+    face = it.face
+    ws = None if face is None or face.kind != "proper" else face.support
+    if (ws is None or len(ws) < 2 or 2 * len(ws) > n
+            or not problem.op.reads_columns):
+        return _face_model(problem, face, h0), it, None
+    sub = _restricted(problem, _gather(problem.op, np.empty((m, 0)), ws), ws)
+    it = Iterate(x=it.x[ws], r=it.r, f=it.f, problem=sub, r_exact=it.r_exact)
+    return _face_model(sub, it.face, h0), it, ws
 
 
-def _face_step(problem: LassoProblem, it: Iterate, model: LbfgsModel,
-               ws: _WorkingSet | None) -> tuple[SearchResult, float]:
+def _face_step(problem: LassoProblem, it: Iterate,
+               model: LbfgsModel) -> tuple[SearchResult, float]:
     """The model's step from it, capped at the face edge, and that cap.
 
     A direction built from the face basis keeps the weighted norm, so its
-    edge is the first sign flip; an interior one runs to the sphere.  On a
-    working set the step reads the gradient on S and forms A d as A_S d_S.
+    edge is the first sign flip; an interior one runs to the sphere.
     """
-    g = it.g if ws is None else ws.g
-    d = model.direction(g)
+    d = model.direction(it.g)
     if model.basis is None:
         bound = max_step_on_face(it.x, d, problem.w, problem.tau)
     else:
         bound = first_sign_flip(it.x, d)
-    ad = None if ws is None else ws.cols @ d[ws.support]
-    return face_wolfe_search(problem, it, d, bound, ad, float(g @ d)), bound
+    return face_wolfe_search(problem, it, d, bound), bound

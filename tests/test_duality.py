@@ -274,11 +274,10 @@ def test_augmented_certificate_equals_the_negated_formula():
 @pytest.mark.parametrize("mu", [0.0, 0.3])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_face_gap_is_never_above_the_full_gap(mu, weighted):
-    # The certificate of the gradient's entries on a support S, zero
-    # elsewhere, drops the entries off S from the multiplier, so its gap is
-    # at most the full one.  The oracle takes the iterate as its best point
-    # but keeps no dual bound from that certificate; given the whole
-    # gradient, the gap is the full one.
+    # The problem restricted to a face's support S reads the same dual point
+    # y = -r with the columns off S dropped from the multiplier, so the gap
+    # its own oracle reads at the point is at most the full one.  Restricted
+    # to every column, it is the full gap.
     rng = np.random.default_rng(23)
     for _ in range(20):
         p = _problem(rng, m=8, n=10, mu=mu, weighted=weighted)
@@ -288,13 +287,16 @@ def test_face_gap_is_never_above_the_full_gap(mu, weighted):
         x[support] = rng.normal(size=4)
         x *= p.tau / weighted_l1_norm(x, p.w)
         it = evaluate(p, x)
-        g_face = np.zeros(10)
-        g_face[support] = it.g[support]
-        oracle = StoppingOracle(p, 0.0)
-        gap_face = oracle.face_gap(it, g_face)
-        assert oracle.best is it and oracle.dual_obj == -np.inf
-        oracle.update(it)
-        assert gap_face <= oracle.gap
-        everywhere = StoppingOracle(p, 0.0)
-        assert everywhere.face_gap(it, it.g) == pytest.approx(
-            relative_gap(it.f, best_certificate(p, it).objective), rel=1e-12)
+        full = StoppingOracle(p, 0.0)
+        full.update(it)
+        for cols in (support, np.arange(10)):
+            sub = LassoProblem(op=DenseOperator(p.op.a[:, cols]), b=p.b,
+                               tau=p.tau, w=p.w[cols], mu=p.mu, c=p.c[cols])
+            face_it = Iterate(x=x[cols], r=it.r, f=it.f, problem=sub)
+            face = StoppingOracle(sub, 0.0)
+            face.update(face_it)
+            assert face.best is face_it
+            if len(cols) < 10:
+                assert face.gap <= full.gap
+            else:
+                assert face.gap == pytest.approx(full.gap, rel=1e-12)

@@ -342,3 +342,15 @@ def test_root_runs_through_the_outer_working_set(monkeypatch, solver):
         assert all(s.working_set_sizes for s in report.path[1:])
         assert (solver == "hybrid") == any(s.warm_pairs > 0
                                            for s in report.path)
+
+
+@pytest.mark.parametrize("seed", [32016, 48017])
+def test_root_runs_that_stalled_on_a_working_set_converge(seed):
+    # Sphere-walk 200x500 root runs in which a working-set phase stalled on
+    # a gap read per iterate, and the PG step after it could not move.  The
+    # phase's own oracle on the restricted problem keeps its best bound.
+    inst = gen_instance(GeneratorSpec(m=200, n=500, kind="sphere_walk",
+                                      gamma=0.1, k=20), seed)
+    report = solve_bpdn(inst.problem(), inst.sigma, solver="hybrid")
+    assert report.status == STATUS_CONVERGED
+    assert report.column_reads > 0

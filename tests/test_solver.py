@@ -26,6 +26,7 @@ from lassokit.duality import (
 from lassokit.facebasis import basis_init, basis_to_dense
 from lassokit.model import (
     DenseOperator,
+    Iterate,
     LassoProblem,
     LinearOperator,
     SolverOptions,
@@ -353,8 +354,8 @@ def test_capped_step_continues_on_the_subface(monkeypatch):
     # direction lies in the subface's difference hull.
     calls = []  # (iterate, direction, cap, result) per face search
 
-    def spy(problem, it, d, bound, *given):  # a working set gives A d, g'd
-        res = search(problem, it, d, bound, *given)
+    def spy(problem, it, d, bound):
+        res = search(problem, it, d, bound)
         calls.append((it, d, bound, res))
         return res
 
@@ -610,12 +611,22 @@ def test_warm_start_on_another_face_seeds_the_first_model(monkeypatch):
     assert report.status == STATUS_OPTIMAL
 
 
-def test_warm_pairs_are_exact_on_the_final_face_support():
+def test_warm_pairs_are_exact_on_the_final_face_support(monkeypatch):
     # A loose solve stops in a working-set phase that has passed through
-    # subfaces.  Each carried y is the change in the gradient on the step's
-    # support S, and f is quadratic, so y = (A'A + mu*I)s on S, which holds
-    # the support of the face the solve ends on.  The steps move entries off
-    # that support, so no single face basis could hold them.
+    # subfaces.  Each carried y is the change in the gradient of the problem
+    # restricted to the phase's working set S, and f is quadratic, so
+    # y = (A'A + mu*I)s on S, which holds the support of the face the solve
+    # ends on.  The steps move entries off that support, so no single face
+    # basis could hold them.
+    sets = []  # the working set of every phase
+
+    def spy(problem, it, h0):
+        model, face_it, ws = open_phase(problem, it, h0)
+        sets.append(ws)
+        return model, face_it, ws
+
+    open_phase = solver_module._open_phase
+    monkeypatch.setattr(solver_module, "_open_phase", spy)
     p = gen_instance(GeneratorSpec(m=64, n=128, kind="sphere_walk",
                                    gamma=0.1, k=10), 1).problem(mu=1e-3)
     report = hybrid_solve(p, options=SolverOptions(opt_tol=1e-3))
@@ -631,8 +642,12 @@ def test_warm_pairs_are_exact_on_the_final_face_support():
         hs = a.T @ (a @ s) + p.mu * s
         assert np.linalg.norm(y[on] - hs[on]) <= 1e-9 * np.linalg.norm(hs[on])
         assert float(s @ y) > 0
-    # A working-set step's y is zero off its support.
-    assert any(np.all(y[s == 0] == 0) for s, y in warm.pairs)
+    # A working-set step's y is zero off the phase's S, which also holds
+    # the subfaces the phase continued onto.
+    off = np.ones(p.shape[1], dtype=bool)
+    off[sets[-1]] = False
+    assert not np.any(on & off)
+    assert all(not np.any(y[off]) for _, y in warm.pairs)
 
 
 def test_ambient_pair_in_the_subface_hull_is_an_exact_reduced_pair():
@@ -686,6 +701,31 @@ def test_pair_counters_change_no_iterate(monkeypatch):
         assert np.array_equal(claimed.x, report.x)
         assert [(t.step_kind, t.f) for t in claimed.trace] == \
             [(t.step_kind, t.f) for t in report.trace]
+
+
+@pytest.mark.parametrize("solve", [spg_solve, hybrid_solve])
+def test_objective_far_below_zero_ends_optimal(solve):
+    # c'x drives f to about -5e6.  The relative gap divides by |f|: read
+    # over a floor of 1e-3, it asked for an absolute gap of 1e-9 far below
+    # f's rounding, and both solvers ended `linesearch_failure` after three
+    # iterations at a gap of 2.3e-2.
+    p = gen_instance(GeneratorSpec(m=64, n=128, k=5), 1).problem()
+    c = -1e6 * np.random.default_rng(0).uniform(size=p.shape[1])
+    report = solve(dataclasses.replace(p, c=c))
+    assert report.f < -1e6
+    assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+    assert report.iterations <= 3
+
+
+def test_coherent_run_that_stalled_on_a_working_set_ends_optimal():
+    # Sphere-walk 128x256 instance 16004: a working-set phase stalled on a
+    # gap read per iterate, and the PG step after it could not move.  The
+    # phase's own oracle on the restricted problem keeps its best bound.
+    p = gen_instance(GeneratorSpec(m=128, n=256, kind="sphere_walk",
+                                   gamma=0.1, k=10), 16004).problem()
+    report = hybrid_solve(p)
+    assert report.status == STATUS_OPTIMAL and report.gap <= 1e-6
+    assert report.column_reads > 0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
@@ -828,35 +868,34 @@ def test_product_counters_equal_a_wrapping_counter_and_change_no_iterate():
 
 
 def test_working_set_products_equal_the_full_products():
-    # A_S d_S and the gradient A_S'r + c_S + mu*x_S on S equal the full
-    # products' entries to rounding, zero off S, on a face and on a subface
-    # whose columns are sliced from the face's.
+    # The problem restricted to the gathered columns A_S forms A_S d_S and
+    # the gradient A_S'r + c_S + mu*x_S, equal to the full products' entries
+    # to rounding, at a point on the face and on a subface, and reads no
+    # column after the gather.  The point lifts back with zeros off S, and
+    # column_work counts |S| per product on A_S.
     rng = np.random.default_rng(11)
     m, n = 30, 20
     a = rng.normal(size=(m, n))
     p = LassoProblem(op=DenseOperator(a), b=rng.normal(size=m), tau=1.0,
                      mu=0.1, c=rng.normal(size=n))
     support = np.sort(rng.choice(n, 8, replace=False))
-    x = np.zeros(n)
-    x[support] = rng.normal(size=8)
-    it = evaluate(p, x)
-    ws = solver_module._WorkingSet(p, support, it.g)
-    assert p.op.column_reads == 8 and p.op.forward_products == 1
-    for sub in (support, support[[0, 2, 3, 5, 7]]):
-        if len(sub) < len(ws.support):
-            ws.restrict(sub)
-        assert np.array_equal(ws.support, sub)
+    cols = solver_module._gather(p.op, np.empty((m, 0)), support)
+    sub = solver_module._restricted(p, cols, support)
+    assert p.op.column_reads == 8 and p.op.forward_products == 0
+    for on in (support, support[[0, 2, 3, 5, 7]]):
         x = np.zeros(n)
-        x[sub] = rng.normal(size=len(sub))
+        x[on] = rng.normal(size=len(on))
         d = np.zeros(n)
-        d[sub] = rng.normal(size=len(sub))
+        d[on] = rng.normal(size=len(on))
         it = evaluate(p, x)
-        assert np.allclose(ws.cols @ d[sub], a @ d, rtol=0, atol=1e-13)
-        g = ws.gradient(it)
-        assert np.allclose(g[sub], (a.T @ it.r + p.c + p.mu * x)[sub],
+        face_it = Iterate(x=x[support], r=it.r, f=it.f, problem=sub)
+        assert np.allclose(sub.op.apply(d[support]), a @ d, rtol=0, atol=1e-13)
+        assert np.allclose(face_it.g, (a.T @ it.r + p.c + p.mu * x)[support],
                            rtol=0, atol=1e-13)
-        assert not np.any(np.delete(g, sub))
+        assert np.array_equal(solver_module._lift(face_it, support, p).x, x)
     assert p.op.column_reads == 8  # the subface read no column
+    assert (p.op.forward_products, p.op.adjoint_products) == (2, 0)
+    assert solver_module._column_work(sub) == 8 * (2 + 2)
 
 
 def test_face_certified_on_its_support_ends_off_face():
@@ -901,15 +940,16 @@ def test_final_phase_reads_its_columns_and_one_adjoint_per_certification(
     op = p.op
     opened = []  # (support size, columns read, then forward, adjoint, columns)
 
-    class Spy(solver_module._WorkingSet):
-        def __init__(self, problem, support, g):
-            before = op.column_reads
-            super().__init__(problem, support, g)
-            opened.append((len(support), op.column_reads - before,
-                           op.forward_products, op.adjoint_products,
-                           op.column_reads))
+    def spy(source, cols, new):
+        before = op.column_reads
+        out = gather(source, cols, new)
+        opened.append((len(new), op.column_reads - before,
+                       op.forward_products, op.adjoint_products,
+                       op.column_reads))
+        return out
 
-    monkeypatch.setattr(solver_module, "_WorkingSet", Spy)
+    gather = solver_module._gather
+    monkeypatch.setattr(solver_module, "_gather", spy)
     report = hybrid_solve(p, options=SolverOptions(trace=True))
     assert report.status == STATUS_OPTIMAL
     assert report.phase_ends["solve_end"] == 1
@@ -926,9 +966,9 @@ def test_final_phase_reads_its_columns_and_one_adjoint_per_certification(
 
 def test_iteration_limit_in_a_working_set_phase_reads_the_full_gap():
     # The solve stops at max_iter three steps into its final working-set
-    # phase, whose steps read only the S gap.  It reads the last iterate's
-    # full certificate once, one adjoint product, so the reported gap is
-    # that point's and not the bound from before the phase.
+    # phase, whose steps read only its restricted gap.  It reads the last
+    # iterate's full certificate once, one adjoint product, so the reported
+    # gap is that point's and not the bound from before the phase.
     p = gen_instance(GeneratorSpec(m=256, n=1024, k=20), 5).problem()
     kinds = [t.step_kind
              for t in hybrid_solve(p, options=SolverOptions(trace=True)).trace]
@@ -945,54 +985,34 @@ def test_iteration_limit_in_a_working_set_phase_reads_the_full_gap():
     assert cut.adjoint_products == 1 + opened + 1
 
 
-def test_failed_pg_step_after_a_working_set_stall_reopens_the_face_once(
-        monkeypatch):
-    # Every face phase stalls after one step, and every PG search from a
-    # point a face step reached makes no move.  The PG step after the
-    # working-set phase's stall reopens the face once on the full path;
-    # after that phase stalls too, the run ends `linesearch_failure`.
-    monkeypatch.setattr(solver_module, "STALL_RATIO", 1.0)
-    monkeypatch.setattr(solver_module, "STALL_GAP_SHRINK", 0.0)
-    face_steps = []  # whether each face step ran on a working set
-
-    def face_spy(problem, it, model, ws):
-        face_steps.append(ws is not None)
-        return face_step(problem, it, model, ws)
-
-    def pg_spy(problem, it, alpha, fmax, options):
-        if face_steps:
-            return SearchResult("stationary", it, 0.0, 1)
-        return pg_search(problem, it, alpha, fmax, options)
-
-    face_step, pg_search = solver_module._face_step, solver_module._pg_search
-    monkeypatch.setattr(solver_module, "_face_step", face_spy)
-    monkeypatch.setattr(solver_module, "_pg_search", pg_spy)
-    p = gen_instance(GeneratorSpec(m=256, n=1024, k=20), 5).problem()
-    report = hybrid_solve(p, options=SolverOptions(trace=True))
-    assert report.status == STATUS_LINESEARCH_FAILURE
-    assert face_steps == [True, False]
-    assert [t.step_kind for t in report.trace[-4:]] == ["qn", "pg", "qn", "pg"]
-    assert report.trace[-3].f == report.trace[-4].f  # no move
-    assert report.phase_ends["stall"] == 2
-
-
 def test_face_above_half_the_columns_keeps_the_full_products(monkeypatch):
-    # A face whose support holds more than n/2 entries keeps the full
-    # products; one of at most n/2 runs on a working set.
-    steps = []  # (support size, working set or None) per proper face step
+    # A phase that opens on a face whose support holds more than n/2 entries
+    # keeps the full products, as does every step on such a face; one that
+    # opens on a face of at most n/2 runs on a working set.
+    opened = []  # (support size, working set or None) per proper phase
+    steps = []  # (support size, columns of the step's problem) per step
 
-    def spy(problem, it, model, ws):
+    def open_spy(problem, it, h0):
+        model, face_it, ws = open_phase(problem, it, h0)
+        if model is not None and model.basis is not None:
+            opened.append((len(model.basis.support), ws))
+        return model, face_it, ws
+
+    def step_spy(problem, it, model):
         if model.basis is not None:
-            steps.append((len(model.basis.support), ws))
-        return face_step(problem, it, model, ws)
+            steps.append((len(model.basis.support), problem.shape[1]))
+        return face_step(problem, it, model)
 
-    face_step = solver_module._face_step
-    monkeypatch.setattr(solver_module, "_face_step", spy)
+    open_phase, face_step = solver_module._open_phase, solver_module._face_step
+    monkeypatch.setattr(solver_module, "_open_phase", open_spy)
+    monkeypatch.setattr(solver_module, "_face_step", step_spy)
     hybrid_solve(_sphere_walk_64x128())
-    big = [ws for size, ws in steps if 2 * size > 128]
-    small = [ws for size, ws in steps if 2 * size <= 128]
+    big = [ws for size, ws in opened if 2 * size > 128]
+    small = [ws for size, ws in opened if 2 * size <= 128]
     assert big and all(ws is None for ws in big)
     assert small and all(ws is not None for ws in small)
+    assert all(cols == 128 for size, cols in steps if 2 * size > 128)
+    assert any(cols < 128 for _, cols in steps)
 
 
 def test_operator_without_columns_pays_an_adjoint_per_face_step():
@@ -1060,26 +1080,28 @@ def test_objective_that_overflows_reports_the_start(solve):
 
 def test_column_work_is_a_hand_count_and_changes_no_iterate(monkeypatch):
     # Sphere-walk 64x128 stays on the full path, and its face phases run on
-    # working sets: each working-set face step forms A_S d_S, and each one
-    # it takes forms A_S'r.  A count of |S| per product, taken by spies that
-    # return what they wrap, equals the report's, and every iterate is
-    # that of the unspied solve.
+    # working sets: each forms its products on the problem restricted to
+    # A_S.  A count of |S| per product, taken by the callables of a spied
+    # restricted operator that forms what DenseOperator forms, equals the
+    # report's, and every iterate is that of the unspied solve.
     p = _sphere_walk_64x128()
     plain = hybrid_solve(p, options=SolverOptions(trace=True))
     hand = [0]
 
-    def step_spy(problem, it, model, ws):
-        hand[0] += 0 if ws is None else len(ws.support)
-        return face_step(problem, it, model, ws)
+    def restricted_spy(problem, cols, idx):
+        def forward(x):
+            hand[0] += len(idx)
+            return cols @ x
 
-    def gradient_spy(ws, it):
-        hand[0] += len(ws.support)
-        return gradient(ws, it)
+        def adjoint(y):
+            hand[0] += len(idx)
+            return cols.T @ y
 
-    face_step = solver_module._face_step
-    gradient = solver_module._WorkingSet.gradient
-    monkeypatch.setattr(solver_module, "_face_step", step_spy)
-    monkeypatch.setattr(solver_module._WorkingSet, "gradient", gradient_spy)
+        op = LinearOperator(cols.shape, forward, adjoint, lambda i: cols[:, i])
+        return dataclasses.replace(restricted(problem, cols, idx), op=op)
+
+    restricted = solver_module._restricted
+    monkeypatch.setattr(solver_module, "_restricted", restricted_spy)
     spied = hybrid_solve(p, options=SolverOptions(trace=True))
     assert type(spied.column_work) is int and spied.working_set_sizes == []
     assert spied.column_work == hand[0] > 0
